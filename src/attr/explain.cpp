@@ -1,162 +1,52 @@
 #include "attr/explain.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "attr/attribution.h"
+#include "common/json_reader.h"
 
 namespace protean::attr {
 namespace {
 
-// --- minimal recursive-descent JSON reader --------------------------------
-// Enough for the harness run JSON and the tracer file; the JSONL timeline
-// is parsed line-by-line through the same reader.
+using Kind = JsonValue::Kind;
 
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
+/// Reads the count fields of one artifact. Missing, non-numeric and
+/// negative values count as zero; a number that rounds above `max` clears
+/// `ok` instead of reaching the cast, whose result would be undefined.
+struct CountReader {
+  bool ok = true;
 
-  const JsonValue* find(const char* key) const {
-    if (kind != kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
+  std::uint64_t operator()(const JsonValue* v,
+                           std::uint64_t max = UINT64_MAX) {
+    if (v == nullptr || v->kind != Kind::kNumber || v->number < 0.0) {
+      return 0;
     }
-    return nullptr;
-  }
-  double num_or(double fallback) const {
-    return kind == kNumber ? number : fallback;
+    const double rounded = v->number + 0.5;
+    if (!(rounded < static_cast<double>(max) + 1.0)) {
+      ok = false;
+      return 0;
+    }
+    return static_cast<std::uint64_t>(rounded);
   }
 };
 
-struct Parser {
-  const std::string& text;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < text.size() &&
-           (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-            text[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (i >= text.size() || text[i] != c) return false;
-    ++i;
-    return true;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (i < text.size()) {
-      const char c = text[i++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i >= text.size()) return false;
-        const char e = text[i++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u':
-            // Attribution artifacts never emit non-ASCII; skip the 4 hex
-            // digits and keep a placeholder so offsets stay consistent.
-            if (i + 4 > text.size()) return false;
-            i += 4;
-            out += '?';
-            break;
-          default: out += e; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (i >= text.size()) return false;
-    const char c = text[i];
-    if (c == '{') {
-      ++i;
-      out.kind = JsonValue::kObject;
-      skip_ws();
-      if (consume('}')) return true;
-      for (;;) {
-        std::string key;
-        JsonValue value;
-        if (!parse_string(key) || !consume(':') || !parse_value(value)) {
-          return false;
-        }
-        out.object.emplace_back(std::move(key), std::move(value));
-        if (consume(',')) continue;
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++i;
-      out.kind = JsonValue::kArray;
-      skip_ws();
-      if (consume(']')) return true;
-      for (;;) {
-        JsonValue value;
-        if (!parse_value(value)) return false;
-        out.array.push_back(std::move(value));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::kString;
-      return parse_string(out.str);
-    }
-    if (text.compare(i, 4, "true") == 0) {
-      out.kind = JsonValue::kBool;
-      out.boolean = true;
-      i += 4;
-      return true;
-    }
-    if (text.compare(i, 5, "false") == 0) {
-      out.kind = JsonValue::kBool;
-      i += 5;
-      return true;
-    }
-    if (text.compare(i, 4, "null") == 0) {
-      out.kind = JsonValue::kNull;
-      i += 4;
-      return true;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + i, &end);
-    if (end == text.c_str() + i) return false;
-    i = static_cast<std::size_t>(end - text.c_str());
-    out.kind = JsonValue::kNumber;
-    out.number = value;
-    return true;
-  }
-};
-
-bool parse_json(const std::string& text, JsonValue& out) {
-  Parser p{text};
-  if (!p.parse_value(out)) return false;
-  p.skip_ws();
-  return p.i == text.size();
+/// Parses `text` as one JSON document; on failure says in `error` which
+/// artifact (`what`) was malformed and where.
+std::optional<JsonValue> parse_artifact(const std::string& text,
+                                        const char* what, std::string& error) {
+  std::string why;
+  std::optional<JsonValue> root = parse_json(text, &why);
+  if (!root) error = std::string("malformed ") + what + ": " + why;
+  return root;
 }
 
-std::uint64_t as_count(const JsonValue* v) {
-  if (v == nullptr || v->kind != JsonValue::kNumber || v->number < 0.0) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(v->number + 0.5);
-}
+constexpr const char* kCountOutOfRange = "a count is out of range";
 
 // --- reductions per artifact kind -----------------------------------------
 
@@ -178,95 +68,96 @@ void finalize(RunExplanation& run) {
   }
 }
 
-bool reduce_attribution_block(const JsonValue& block, const char* label,
-                              RunExplanation& run) {
+void reduce_attribution_block(const JsonValue& block, const char* label,
+                              CountReader& count, RunExplanation& run) {
   run.label = label;
-  run.requests = as_count(block.find("requests"));
-  run.violations = as_count(block.find("violations"));
-  run.identity_violations = as_count(block.find("identity_violations"));
-  run.negative_clamps = as_count(block.find("negative_component_clamps"));
+  run.requests = count(block.find("requests"));
+  run.violations = count(block.find("violations"));
+  run.identity_violations = count(block.find("identity_violations"));
+  run.negative_clamps = count(block.find("negative_component_clamps"));
   if (const JsonValue* d = block.find("dominant_cause");
-      d != nullptr && d->kind == JsonValue::kString) {
-    run.dominant = d->str;
+      d != nullptr && d->kind == Kind::kString) {
+    run.dominant = d->string;
   }
   if (const JsonValue* causes = block.find("causes");
-      causes != nullptr && causes->kind == JsonValue::kArray) {
+      causes != nullptr && causes->kind == Kind::kArray) {
     for (const JsonValue& c : causes->array) {
       CauseRow row;
       if (const JsonValue* name = c.find("cause");
-          name != nullptr && name->kind == JsonValue::kString) {
-        row.cause = name->str;
+          name != nullptr && name->kind == Kind::kString) {
+        row.cause = name->string;
       }
-      row.violations = as_count(c.find("violations"));
+      row.violations = count(c.find("violations"));
       if (const JsonValue* s = c.find("seconds")) {
-        row.seconds = s->num_or(-1.0);
+        row.seconds = s->kind == Kind::kNumber ? s->number : -1.0;
       }
       run.causes.push_back(std::move(row));
     }
   }
   if (const JsonValue* groups = block.find("groups");
-      groups != nullptr && groups->kind == JsonValue::kArray) {
+      groups != nullptr && groups->kind == Kind::kArray) {
     for (const JsonValue& g : groups->array) {
       ExplainGroup group;
       if (const JsonValue* m = g.find("model");
-          m != nullptr && m->kind == JsonValue::kString) {
-        group.model = m->str;
+          m != nullptr && m->kind == Kind::kString) {
+        group.model = m->string;
       }
-      group.shard = static_cast<int>(as_count(g.find("shard")));
+      group.shard = static_cast<int>(count(g.find("shard"), INT_MAX));
       if (const JsonValue* s = g.find("strict")) {
-        group.strict = s->kind == JsonValue::kBool && s->boolean;
+        group.strict = s->kind == Kind::kBool && s->boolean;
       }
-      group.requests = as_count(g.find("requests"));
-      group.violations = as_count(g.find("violations"));
+      group.requests = count(g.find("requests"));
+      group.violations = count(g.find("violations"));
       if (const JsonValue* d = g.find("dominant");
-          d != nullptr && d->kind == JsonValue::kString) {
-        group.dominant = d->str;
+          d != nullptr && d->kind == Kind::kString) {
+        group.dominant = d->string;
       }
       run.groups.push_back(std::move(group));
     }
   }
   finalize(run);
-  return true;
 }
 
 /// Walks the run/sweep JSON tree collecting every report object that
 /// carries an `attribution` block, labelling it with the nearest sibling
 /// `scheme` string.
 void collect_run_json(const JsonValue& node, const std::string& scheme,
-                      std::vector<RunExplanation>& out) {
-  if (node.kind == JsonValue::kArray) {
+                      CountReader& count, std::vector<RunExplanation>& out) {
+  if (node.kind == Kind::kArray) {
     for (const JsonValue& child : node.array) {
-      collect_run_json(child, scheme, out);
+      collect_run_json(child, scheme, count, out);
     }
     return;
   }
-  if (node.kind != JsonValue::kObject) return;
+  if (node.kind != Kind::kObject) return;
   std::string label = scheme;
   if (const JsonValue* s = node.find("scheme");
-      s != nullptr && s->kind == JsonValue::kString) {
-    label = s->str;
+      s != nullptr && s->kind == Kind::kString) {
+    label = s->string;
   }
   if (const JsonValue* block = node.find("attribution");
-      block != nullptr && block->kind == JsonValue::kObject) {
+      block != nullptr && block->kind == Kind::kObject) {
     RunExplanation run;
     reduce_attribution_block(*block, label.empty() ? "run" : label.c_str(),
-                             run);
+                             count, run);
     out.push_back(std::move(run));
   }
   for (const auto& [key, child] : node.object) {
     if (key == "attribution") continue;
-    collect_run_json(child, label, out);
+    collect_run_json(child, label, count, out);
   }
 }
 
 bool explain_run_json(const std::string& text,
                       std::vector<RunExplanation>& out, std::string& error) {
-  JsonValue root;
-  if (!parse_json(text, root)) {
-    error = "malformed run JSON";
+  const std::optional<JsonValue> root = parse_artifact(text, "run JSON", error);
+  if (!root) return false;
+  CountReader count;
+  collect_run_json(*root, "", count, out);
+  if (!count.ok) {
+    error = kCountOutOfRange;
     return false;
   }
-  collect_run_json(root, "", out);
   if (out.empty()) {
     error = "run JSON has no attribution blocks (was the run --attr on?)";
     return false;
@@ -277,38 +168,41 @@ bool explain_run_json(const std::string& text,
 bool explain_trace_json(const std::string& text,
                         std::vector<RunExplanation>& out,
                         std::string& error) {
-  JsonValue root;
-  if (!parse_json(text, root)) {
-    error = "malformed trace JSON";
-    return false;
-  }
-  const JsonValue* summary = root.find("collector");
-  if (summary == nullptr || summary->kind != JsonValue::kObject) {
+  const std::optional<JsonValue> root =
+      parse_artifact(text, "trace JSON", error);
+  if (!root) return false;
+  const JsonValue* summary = root->find("collector");
+  if (summary == nullptr || summary->kind != Kind::kObject) {
     error = "trace file has no collector summary";
     return false;
   }
   RunExplanation run;
   run.label = "trace";
+  CountReader count;
   bool any = false;
   for (const auto& [key, value] : summary->object) {
     if (key == "attr_requests") {
-      run.requests = as_count(&value);
+      run.requests = count(&value);
       any = true;
     } else if (key == "attr_violations") {
-      run.violations = as_count(&value);
+      run.violations = count(&value);
       any = true;
     } else if (key == "attr_identity_violations") {
-      run.identity_violations = as_count(&value);
+      run.identity_violations = count(&value);
       any = true;
     } else if (key == "negative_component_clamps") {
-      run.negative_clamps = as_count(&value);
+      run.negative_clamps = count(&value);
     } else if (key.rfind("attr_cause_", 0) == 0) {
       CauseRow row;
       row.cause = key.substr(std::strlen("attr_cause_"));
-      row.violations = as_count(&value);
+      row.violations = count(&value);
       run.causes.push_back(std::move(row));
       any = true;
     }
+  }
+  if (!count.ok) {
+    error = kCountOutOfRange;
+    return false;
   }
   if (!any) {
     error = "trace summary has no attr_* keys (was the run --attr on?)";
@@ -326,7 +220,8 @@ bool explain_telemetry_jsonl(const std::string& text,
   // the finished-run value; the final scrape snapshots them all.
   RunExplanation run;
   run.label = "telemetry";
-  std::vector<std::pair<std::string, double>> last;  // cause -> last value
+  std::vector<std::pair<std::string, std::uint64_t>> last;  // cause -> count
+  CountReader count;
   bool any = false;
   std::size_t begin = 0;
   while (begin < text.size()) {
@@ -335,22 +230,20 @@ bool explain_telemetry_jsonl(const std::string& text,
     const std::string line = text.substr(begin, end - begin);
     begin = end + 1;
     if (line.empty()) continue;
-    JsonValue obj;
-    if (!parse_json(line, obj)) {
-      error = "malformed JSONL line";
-      return false;
-    }
-    const JsonValue* metrics = obj.find("metrics");
-    if (metrics == nullptr || metrics->kind != JsonValue::kObject) continue;
+    const std::optional<JsonValue> obj =
+        parse_artifact(line, "JSONL line", error);
+    if (!obj) return false;
+    const JsonValue* metrics = obj->find("metrics");
+    if (metrics == nullptr || metrics->kind != Kind::kObject) continue;
     for (const auto& [name, value] : metrics->object) {
       if (name == "attr_requests_total") {
-        run.requests = as_count(&value);
+        run.requests = count(&value);
         any = true;
       } else if (name == "attr_identity_violations_total") {
-        run.identity_violations = as_count(&value);
+        run.identity_violations = count(&value);
         any = true;
       } else if (name == "attr_negative_clamps_total") {
-        run.negative_clamps = as_count(&value);
+        run.negative_clamps = count(&value);
       } else if (name.rfind("attr_violations_total{cause=\"", 0) == 0) {
         const std::size_t open = name.find('"') + 1;
         const std::size_t close = name.find('"', open);
@@ -359,15 +252,19 @@ bool explain_telemetry_jsonl(const std::string& text,
         bool found = false;
         for (auto& [k, v] : last) {
           if (k == cause) {
-            v = value.num_or(0.0);
+            v = count(&value);
             found = true;
             break;
           }
         }
-        if (!found) last.emplace_back(cause, value.num_or(0.0));
+        if (!found) last.emplace_back(cause, count(&value));
         any = true;
       }
     }
+  }
+  if (!count.ok) {
+    error = kCountOutOfRange;
+    return false;
   }
   if (!any) {
     error = "JSONL has no attr_* series (was the run --attr on?)";
@@ -380,8 +277,7 @@ bool explain_telemetry_jsonl(const std::string& text,
   for (const auto& [cause, value] : last) {
     CauseRow row;
     row.cause = cause;
-    row.violations =
-        value < 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
+    row.violations = value;
     run.violations += row.violations;
     run.causes.push_back(std::move(row));
   }

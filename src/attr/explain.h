@@ -7,7 +7,9 @@
 // RunExplanation: total requests, exact strict-violation count, per-cause
 // violation tallies ranked by blame, and the accounting-health counters
 // (identity violations, negative component clamps) that must be zero on a
-// healthy run.
+// healthy run. Every artifact is read by the shared strict reader in
+// common/json_reader.h; malformed JSON, or a count that does not fit its
+// field, fails the artifact instead of being coerced.
 //
 // The violation count recovered from the telemetry JSONL alone equals the
 // report's `strict_emitted - strict_completed·compliance` count exactly:

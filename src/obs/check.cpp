@@ -1,244 +1,15 @@
 #include "obs/check.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/json_reader.h"
 #include "obs/trace.h"
 
 namespace protean::obs {
 namespace {
-
-// ---- minimal JSON reader ---------------------------------------------------
-// The harness's json.h is writer-only, so the checker carries its own small
-// recursive-descent reader. It supports exactly the JSON subset any trace
-// viewer would: objects, arrays, strings, numbers, bools, null.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const char* key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> v = value();
-    skip_ws();
-    if (v && pos_ != text_.size()) {
-      fail("trailing characters after document");
-      v.reset();
-    }
-    if (!v && error != nullptr) *error = error_;
-    return v;
-  }
-
- private:
-  void fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool consume(char expected) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<JsonValue> value() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return std::nullopt;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return bool_value();
-    if (c == 'n') return null_value();
-    return number_value();
-  }
-
-  std::optional<JsonValue> object() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (consume('}')) return out;
-    while (true) {
-      skip_ws();
-      std::optional<std::string> key = string_body();
-      if (!key) return std::nullopt;
-      if (!consume(':')) {
-        fail("expected ':' in object");
-        return std::nullopt;
-      }
-      std::optional<JsonValue> v = value();
-      if (!v) return std::nullopt;
-      out.object.emplace_back(std::move(*key), std::move(*v));
-      if (consume(',')) continue;
-      if (consume('}')) return out;
-      fail("expected ',' or '}' in object");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<JsonValue> array() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (consume(']')) return out;
-    while (true) {
-      std::optional<JsonValue> v = value();
-      if (!v) return std::nullopt;
-      out.array.push_back(std::move(*v));
-      if (consume(',')) continue;
-      if (consume(']')) return out;
-      fail("expected ',' or ']' in array");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<std::string> string_body() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      fail("expected string");
-      return std::nullopt;
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // Decode BMP escapes to a byte when ASCII, '?' otherwise; the
-          // tracer never emits multi-byte escapes so this is exact in
-          // practice.
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return std::nullopt;
-          }
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          char* end = nullptr;
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4) {
-            fail("bad \\u escape");
-            return std::nullopt;
-          }
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          fail("unknown escape");
-          return std::nullopt;
-      }
-    }
-    fail("unterminated string");
-    return std::nullopt;
-  }
-
-  std::optional<JsonValue> string_value() {
-    std::optional<std::string> body = string_body();
-    if (!body) return std::nullopt;
-    JsonValue out;
-    out.kind = JsonValue::Kind::kString;
-    out.string = std::move(*body);
-    return out;
-  }
-
-  std::optional<JsonValue> bool_value() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.boolean = true;
-      pos_ += 4;
-      return out;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.boolean = false;
-      pos_ += 5;
-      return out;
-    }
-    fail("bad literal");
-    return std::nullopt;
-  }
-
-  std::optional<JsonValue> null_value() {
-    if (text_.compare(pos_, 4, "null") != 0) {
-      fail("bad literal");
-      return std::nullopt;
-    }
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  std::optional<JsonValue> number_value() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      fail("expected value");
-      return std::nullopt;
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    JsonValue out;
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = v;
-    return out;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
 
 double num_or(const JsonValue* v, double fallback) {
   return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
@@ -248,6 +19,16 @@ double num_or(const JsonValue* v, double fallback) {
 std::string str_or(const JsonValue* v, const std::string& fallback) {
   return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
                                                              : fallback;
+}
+
+/// `fallback` when `v` is not a number; nullopt when it is one outside the
+/// int range, so the cast below is always defined.
+std::optional<int> int_or(const JsonValue* v, int fallback) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return fallback;
+  if (!(v->number > INT_MIN - 1.0 && v->number < INT_MAX + 1.0)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v->number);
 }
 
 /// Sum of the union of [start, end] intervals, in input units.
@@ -286,8 +67,7 @@ std::string fmt(double v) {
 
 std::optional<ParsedTrace> parse_trace_json(const std::string& text,
                                             std::string* error) {
-  JsonReader reader(text);
-  std::optional<JsonValue> root = reader.parse(error);
+  std::optional<JsonValue> root = parse_json(text, error);
   if (!root) return std::nullopt;
   if (root->kind != JsonValue::Kind::kObject) {
     if (error != nullptr) *error = "trace root is not an object";
@@ -301,14 +81,23 @@ std::optional<ParsedTrace> parse_trace_json(const std::string& text,
 
   ParsedTrace out;
   out.events.reserve(events->array.size());
-  for (const JsonValue& e : events->array) {
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const JsonValue& e = events->array[i];
     if (e.kind != JsonValue::Kind::kObject) continue;
+    const std::optional<int> pid = int_or(e.find("pid"), 0);
+    const std::optional<int> tid = int_or(e.find("tid"), 0);
+    if (!pid || !tid) {
+      if (error != nullptr) {
+        *error = "traceEvents[" + std::to_string(i) + "]: pid/tid out of range";
+      }
+      return std::nullopt;
+    }
     ParsedEvent ev;
     ev.ph = str_or(e.find("ph"), "");
     ev.name = str_or(e.find("name"), "");
     ev.cat = str_or(e.find("cat"), "");
-    ev.pid = static_cast<int>(num_or(e.find("pid"), 0.0));
-    ev.tid = static_cast<int>(num_or(e.find("tid"), 0.0));
+    ev.pid = *pid;
+    ev.tid = *tid;
     ev.ts_us = num_or(e.find("ts"), 0.0);
     ev.dur_us = num_or(e.find("dur"), 0.0);
     ev.id = str_or(e.find("id"), "");

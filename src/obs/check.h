@@ -37,9 +37,9 @@ struct ParsedTrace {
 };
 
 /// Parses a trace document produced by Tracer::to_json(). Accepts any
-/// JSON-object trace with a "traceEvents" array (the parser is a small,
-/// dependency-free recursive-descent reader, not a general validator).
-/// Returns nullopt and fills `error` on malformed input.
+/// JSON-object trace with a "traceEvents" array; the text is read by the
+/// shared strict reader in common/json_reader.h. Returns nullopt and fills
+/// `error` on malformed JSON (with its offset) or on a pid/tid no int holds.
 std::optional<ParsedTrace> parse_trace_json(const std::string& text,
                                             std::string* error = nullptr);
 

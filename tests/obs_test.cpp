@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "obs/check.h"
 #include "sim/simulator.h"
 
@@ -194,6 +196,29 @@ TEST(Checker, FlagsStructuralDamage) {
   EXPECT_FALSE(check_invariants(*parsed).ok);
 }
 
+TEST(Parser, PidAndTidReadBackUpToTheIntLimits) {
+  std::string error;
+  const auto parsed = parse_trace_json(
+      R"({"traceEvents":[{"ph":"i","pid":2147483647,"tid":-2147483648},)"
+      R"({"ph":"i","pid":7.9,"tid":"x"}]})",
+      &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->events.size(), 2u);
+  EXPECT_EQ(parsed->events[0].pid, INT_MAX);
+  EXPECT_EQ(parsed->events[0].tid, INT_MIN);
+  EXPECT_EQ(parsed->events[1].pid, 7);  // truncates like the cast it guards
+  EXPECT_EQ(parsed->events[1].tid, 0);  // not a number: the default
+  EXPECT_FALSE(parse_trace_json(
+                   R"({"traceEvents":[{"ph":"i","pid":2147483648}]})", &error)
+                   .has_value());
+  EXPECT_EQ(error, "traceEvents[0]: pid/tid out of range");
+  EXPECT_FALSE(parse_trace_json(
+                   R"({"traceEvents":[{},{"ph":"i","tid":-2147483649}]})",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "traceEvents[1]: pid/tid out of range");
+}
+
 TEST(Parser, RejectsMalformedJson) {
   std::string error;
   EXPECT_FALSE(parse_trace_json("{", &error).has_value());
@@ -202,6 +227,24 @@ TEST(Parser, RejectsMalformedJson) {
   EXPECT_FALSE(parse_trace_json("{\"no_events\":1}", &error).has_value());
   EXPECT_FALSE(parse_trace_json("{\"traceEvents\":[]} trailing", &error)
                    .has_value());
+  // Hostile inputs fail with a message instead of a crash or a cast of a
+  // number no int holds.
+  EXPECT_FALSE(parse_trace_json("{\"traceEvents\":" +
+                                    std::string(2'000'000, '['),
+                                &error)
+                   .has_value());
+  EXPECT_NE(error.find("nesting too deep at offset"), std::string::npos);
+  EXPECT_FALSE(
+      parse_trace_json(R"({"traceEvents":[{"ph":"i","ts":nan}]})", &error)
+          .has_value());
+  EXPECT_NE(error.find("bad literal at offset"), std::string::npos);
+  EXPECT_FALSE(
+      parse_trace_json(R"({"traceEvents":[{"ph":"i","pid":1e300}]})", &error)
+          .has_value());
+  EXPECT_EQ(error, "traceEvents[0]: pid/tid out of range");
+  EXPECT_FALSE(
+      parse_trace_json(R"({"traceEvents":[{"ph":"i","tid":-3e9}]})", &error)
+          .has_value());
 }
 
 }  // namespace

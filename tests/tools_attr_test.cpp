@@ -54,6 +54,12 @@ int run_tool(const std::string& cmd, std::string* out = nullptr) {
   return WEXITSTATUS(raw);
 }
 
+/// `prefix` followed by two million '[': deep enough to overflow the stack
+/// of any reader that recurses without a bound.
+std::string deep_json(const std::string& prefix) {
+  return prefix + std::string(2'000'000, '[');
+}
+
 // One attribution-enabled violating run shared by every test below; the
 // fixture materializes all three artifacts once (run JSON, telemetry
 // JSONL, trace JSON).
@@ -142,8 +148,18 @@ TEST_F(ToolsAttr, SloExplainEnforcesExpectedViolationCount) {
 
 TEST_F(ToolsAttr, SloExplainRejectsGarbageAndUsageErrors) {
   const std::string garbage = temp_path("tools-attr-garbage.json");
-  spit(garbage, "not json\n");
-  EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " " + garbage), 1);
+  for (const std::string& text :
+       {std::string("not json\n"), deep_json("{\"scheme\":"),
+        std::string(R"({"scheme":"x","attribution":{"requests":nan}})"),
+        std::string(R"({"scheme":"x","attribution":{"requests":1e300}})"),
+        std::string(R"({"scheme":"x","attribution":{"groups":)"
+                    R"([{"model":"m","shard":3e9}]}})"),
+        std::string(R"({"collector":{"attr_requests":1e300}})"),
+        std::string(R"({"t":1,"metrics":{"attr_requests_total":1e300}})")}) {
+    spit(garbage, text);
+    EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " " + garbage), 1)
+        << text.substr(0, 80);
+  }
   std::remove(garbage.c_str());
   EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN)), 2);
   EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " --bogus x"), 2);
@@ -177,7 +193,64 @@ TEST_F(ToolsAttr, TraceStatsHandlesTracesWithoutAttribution) {
   std::remove(path.c_str());
 }
 
+TEST_F(ToolsAttr, TraceStatsRejectsHostileInput) {
+  const std::string bad = temp_path("tools-hostile-trace.json");
+  for (const std::string& text :
+       {deep_json("{\"traceEvents\":"),
+        std::string(R"({"traceEvents":[{"ph":"X","ts":nan}]})"),
+        std::string(R"({"traceEvents":[{"ph":"X","pid":1e300}]})")}) {
+    spit(bad, text);
+    EXPECT_EQ(run_tool(std::string(TRACE_STATS_BIN) + " " + bad + " --check"),
+              1)
+        << text.substr(0, 80);
+  }
+  std::remove(bad.c_str());
+}
+
 // ----------------------------------------------------------- metrics_diff --
+
+TEST_F(ToolsAttr, MetricsDiffRejectsUnparseableDumps) {
+  // A dump that cannot be read is an input error (2), not drift (1).
+  const std::string bad = temp_path("tools-hostile.jsonl");
+  for (const std::string& text :
+       {deep_json("{\"t\":1,\"metrics\":") + "\n",
+        std::string(R"({"t":1,"metrics":{"x":nan}})") + "\n",
+        std::string(R"({"t":1,"note":"neither scrape nor alert"})") + "\n"}) {
+    spit(bad, text);
+    EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + jsonl_path() +
+                       " " + bad),
+              2)
+        << text.substr(0, 80);
+  }
+  std::remove(bad.c_str());
+  EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + jsonl_path() +
+                     " " + bad),
+            2);
+}
+
+TEST_F(ToolsAttr, MetricsDiffReadsMembersInAnyOrder) {
+  // Lines are read as JSON objects, not scanned in the writer's key order:
+  // the same scrape and alert with their members permuted match exactly.
+  const std::string a = temp_path("tools-order-a.jsonl");
+  const std::string b = temp_path("tools-order-b.jsonl");
+  spit(a, R"({"t":10.0,"metrics":{"x_total":4,"y":0.5}})"
+          "\n"
+          R"({"t":12.0,"event":"slo_burn_alert","state":"firing",)"
+          R"("fast_burn":2.0,"slow_burn":1.5,"dominant_cause":"queue"})"
+          "\n");
+  spit(b, R"({ "metrics" : {"y":0.5, "x_total":4}, "t" : 10.0 })"
+          "\n"
+          R"({"dominant_cause":"queue","slow_burn":1.5,"fast_burn":2.0,)"
+          R"("state":"firing","event":"slo_burn_alert","t":12.0})"
+          "\n");
+  std::string out;
+  EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + a + " " + b, &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("dumps match within tolerance"), std::string::npos);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
 
 TEST_F(ToolsAttr, MetricsDiffRanksTopCausesAndMatchesItself) {
   std::string out;

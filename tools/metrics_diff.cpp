@@ -5,21 +5,25 @@
 //   metrics_diff a.jsonl b.jsonl                    # exact comparison
 //   metrics_diff a.jsonl b.jsonl --rel-tol 1e-3     # CI golden-file check
 //
+// Lines are read by the shared strict reader (common/json_reader.h).
 // Scrape lines ({"t":..,"metrics":{..}}) are aligned by scrape index and
 // compared per metric; alert-event lines are compared for exact structural
 // equality (state sequence) but their burn values obey the tolerances.
 // Exit 0 when every sample is within tolerance, 1 on any drift or
-// structural mismatch (missing metric, extra scrape), 2 on usage errors.
+// structural mismatch (missing metric, extra scrape), 2 on usage errors
+// and on a dump that cannot be read or has a line that is neither a scrape
+// nor a burn alert.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "common/json_reader.h"
 
 namespace {
 
@@ -43,124 +47,69 @@ struct Dump {
   std::size_t scrapes = 0;
 };
 
-// --- minimal parser for the pipeline's own JSONL output -----------------
+// --- reading the pipeline's JSONL output --------------------------------
 
-bool skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  return i < s.size();
-}
+using protean::JsonValue;
+using Kind = JsonValue::Kind;
 
-bool expect(const std::string& s, std::size_t& i, char c) {
-  if (i >= s.size() || s[i] != c) return false;
-  ++i;
-  return true;
-}
+// Reads one line of pipeline output into `dump`: a scrape
+// ({"t":..,"metrics":{..}}) or an slo_burn_alert event. Any other line is
+// unparseable; `why` then says how.
+bool parse_line(const std::string& line, Dump& dump, std::string& why) {
+  const std::optional<JsonValue> root = protean::parse_json(line, &why);
+  if (!root) return false;
+  why = "neither a scrape nor an slo_burn_alert event";
+  const JsonValue* t = root->find("t");
+  if (t == nullptr || t->kind != Kind::kNumber) return false;
 
-// Parses a JSON string (with \" and \\ escapes) starting at the quote.
-std::optional<std::string> parse_string(const std::string& s,
-                                        std::size_t& i) {
-  if (!expect(s, i, '"')) return std::nullopt;
-  std::string out;
-  while (i < s.size()) {
-    const char c = s[i++];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i >= s.size()) return std::nullopt;
-      out += s[i++];
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> parse_number(const std::string& s, std::size_t& i) {
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str() + i, &end);
-  if (end == s.c_str() + i) return std::nullopt;
-  i = static_cast<std::size_t>(end - s.c_str());
-  return value;
-}
-
-// Parses one line of pipeline output into `dump`. Returns false on any
-// line that does not match the expected shapes.
-bool parse_line(const std::string& line, Dump& dump) {
-  std::size_t i = 0;
-  if (!expect(line, i, '{')) return false;
-  auto key = parse_string(line, i);
-  if (!key || *key != "t" || !expect(line, i, ':')) return false;
-  const auto t = parse_number(line, i);
-  if (!t || !expect(line, i, ',')) return false;
-
-  key = parse_string(line, i);
-  if (!key || !expect(line, i, ':')) return false;
-
-  if (*key == "metrics") {
-    if (!expect(line, i, '{')) return false;
-    if (i < line.size() && line[i] == '}') {
-      ++i;  // empty scrape
-    } else {
-      for (;;) {
-        const auto name = parse_string(line, i);
-        if (!name || !expect(line, i, ':')) return false;
-        const auto value = parse_number(line, i);
-        if (!value) return false;
-        dump.series[*name].push_back({*t, *value});
-        if (i < line.size() && line[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (!expect(line, i, '}')) return false;
-        break;
-      }
+  if (const JsonValue* metrics = root->find("metrics")) {
+    if (metrics->kind != Kind::kObject) return false;
+    for (const auto& [name, value] : metrics->object) {
+      if (value.kind != Kind::kNumber) return false;
+      dump.series[name].push_back({t->number, value.number});
     }
     ++dump.scrapes;
-    return expect(line, i, '}');
+    return true;
   }
 
-  if (*key == "event") {
-    const auto event = parse_string(line, i);
-    if (!event || *event != "slo_burn_alert") return false;
-    AlertEvent alert;
-    alert.t = *t;
-    while (expect(line, i, ',')) {
-      const auto field = parse_string(line, i);
-      if (!field || !expect(line, i, ':')) return false;
-      if (*field == "state" || *field == "dominant_cause") {
-        // String-valued alert fields; dominant_cause appears only when
-        // the run had attribution enabled.
-        const auto text = parse_string(line, i);
-        if (!text) return false;
-        if (*field == "state") {
-          alert.state = *text;
-        } else {
-          alert.dominant_cause = *text;
-        }
-      } else {
-        const auto value = parse_number(line, i);
-        if (!value) return false;
-        if (*field == "fast_burn") alert.fast_burn = *value;
-        if (*field == "slow_burn") alert.slow_burn = *value;
-      }
-    }
-    dump.alerts.push_back(std::move(alert));
-    return expect(line, i, '}');
+  const JsonValue* event = root->find("event");
+  if (event == nullptr || event->kind != Kind::kString ||
+      event->string != "slo_burn_alert") {
+    return false;
   }
-  return false;
+  AlertEvent alert;
+  alert.t = t->number;
+  for (const auto& [field, value] : root->object) {
+    // dominant_cause appears only when the run had attribution enabled.
+    if (field == "state" || field == "dominant_cause") {
+      if (value.kind != Kind::kString) return false;
+      (field == "state" ? alert.state : alert.dominant_cause) = value.string;
+    } else if (field == "fast_burn" || field == "slow_burn") {
+      if (value.kind != Kind::kNumber) return false;
+      (field == "fast_burn" ? alert.fast_burn : alert.slow_burn) =
+          value.number;
+    }
+  }
+  dump.alerts.push_back(std::move(alert));
+  return true;
 }
 
 std::optional<Dump> load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return std::nullopt;
+  if (!in) {
+    std::fprintf(stderr, "metrics_diff: cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
   Dump dump;
   std::string line;
+  std::string why;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    if (!parse_line(line, dump)) {
-      std::fprintf(stderr, "metrics_diff: %s:%zu: unparseable line\n",
-                   path.c_str(), line_no);
+    if (!parse_line(line, dump, why)) {
+      std::fprintf(stderr, "metrics_diff: %s:%zu: unparseable line: %s\n",
+                   path.c_str(), line_no, why.c_str());
       return std::nullopt;
     }
   }
@@ -254,19 +203,19 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--abs-tol") {
       const auto v = next_value();
-      if (!v || *v < 0.0) { usage(stderr); return 2; }
+      if (!v || !(*v >= 0.0)) { usage(stderr); return 2; }
       tol.abs = *v;
     } else if (arg == "--rel-tol") {
       const auto v = next_value();
-      if (!v || *v < 0.0) { usage(stderr); return 2; }
+      if (!v || !(*v >= 0.0)) { usage(stderr); return 2; }
       tol.rel = *v;
     } else if (arg == "--show") {
       const auto v = next_value();
-      if (!v || *v < 0.0) { usage(stderr); return 2; }
+      if (!v || !(*v >= 0.0 && *v <= 1e9)) { usage(stderr); return 2; }
       show = static_cast<std::size_t>(*v);
     } else if (arg == "--top-causes") {
       const auto v = next_value();
-      if (!v || *v < 1.0) { usage(stderr); return 2; }
+      if (!v || !(*v >= 1.0 && *v <= 1e9)) { usage(stderr); return 2; }
       causes_n = static_cast<std::size_t>(*v);
     } else if (arg.rfind("--", 0) == 0) {
       usage(stderr);
@@ -282,13 +231,7 @@ int main(int argc, char** argv) {
 
   const auto a = load(paths[0]);
   const auto b = load(paths[1]);
-  if (!a || !b) {
-    if (!a) std::fprintf(stderr, "metrics_diff: cannot read %s\n",
-                         paths[0].c_str());
-    if (!b) std::fprintf(stderr, "metrics_diff: cannot read %s\n",
-                         paths[1].c_str());
-    return 1;
-  }
+  if (!a || !b) return 2;
 
   bool structural_ok = true;
   if (a->scrapes != b->scrapes) {
