@@ -110,9 +110,6 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
   }
   if (shard_count > 1) fanout_ = std::make_unique<ShardFanout>(gateways_);
   market_ = std::make_unique<spot::Market>(sim_, config_.market, slots, *this);
-  // Legacy mode benchmarks the pre-refactor hot path end to end, which
-  // includes the collector's historical quadratic latency-store growth.
-  collector_.set_legacy_reserve(!config_.indexed_dispatch);
   dispatch_policy_ = scheduler_.dispatch_policy().value_or(config_.dispatch);
   dispatch_rng_ = Rng(config_.dispatch_seed).fork(0xd15);
   shard_rng_ = Rng(config_.dispatch_seed).fork(0x51a2d);
@@ -330,6 +327,7 @@ std::size_t Cluster::pick_shard() {
 }
 
 WorkerNode* Cluster::pick_node_base(const workload::Batch& batch) {
+  PROTEAN_DCHECK(verify_dispatch_index());
   const std::size_t home = pick_shard();
   WorkerNode* chosen = pick_in_shard(batch, home);
   // A shard with no serviceable node spills to its siblings in index order;
@@ -341,7 +339,7 @@ WorkerNode* Cluster::pick_node_base(const workload::Batch& batch) {
   return chosen;
 }
 
-WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) {
+WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) const {
   WorkerNode* best = nullptr;
   for (NodeId id = lo; id < hi; ++id) {
     WorkerNode* node = nodes_[id].get();
@@ -353,6 +351,47 @@ WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) {
     }
   }
   return best;
+}
+
+WorkerNode* Cluster::least_loaded_indexed(const ShardState& shard) const {
+  // The first entry of the (work, id) order that passes the reconfiguring
+  // filter: the scan's strict-< argmin with its lowest-id tie-break, found
+  // in O(skips) instead of O(n).
+  for (const auto& entry : shard.by_load) {
+    WorkerNode* node = nodes_[entry.second].get();
+    if (node->gpu().reconfiguring() && node->queued() > 4) continue;
+    return node;
+  }
+  return nullptr;
+}
+
+bool Cluster::verify_dispatch_index() const {
+  for (const ShardState& shard : shards_) {
+    // `accepting` must mirror live accepting() over the whole slot range —
+    // a missed load-listener notification shows up here, not as a silent
+    // routing divergence.
+    auto member = shard.accepting.begin();
+    for (NodeId id = shard.lo; id < shard.hi; ++id) {
+      if (!nodes_[id]->accepting()) continue;
+      PROTEAN_CHECK_MSG(member != shard.accepting.end() && *member == id,
+                        "accepting set diverges at node " + std::to_string(id));
+      ++member;
+    }
+    PROTEAN_CHECK_MSG(member == shard.accepting.end(),
+                      "accepting set holds a node that is not accepting");
+    // `by_load` holds exactly one (outstanding_work(), id) per accepting
+    // node: equal sizes plus a live match per entry rule out both a stale
+    // load and a duplicate id.
+    PROTEAN_CHECK(shard.by_load.size() == shard.accepting.size());
+    for (const auto& [load, id] : shard.by_load) {
+      const WorkerNode& node = *nodes_[id];
+      PROTEAN_CHECK_MSG(node.accepting() && node.outstanding_work() == load,
+                        "stale load entry for node " + std::to_string(id));
+    }
+    PROTEAN_CHECK(least_loaded_indexed(shard) ==
+                  least_loaded_scan(shard.lo, shard.hi));
+  }
+  return true;
 }
 
 WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
@@ -393,74 +432,28 @@ WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
   }
   if (dispatch_policy_ == DispatchPolicy::kRandom) {
     // Uniform random routing over serviceable nodes; nodes mid-
-    // reconfiguration are only used when nothing else is up. The indexed
-    // path walks only the shard's accepting set (id-ascending, exactly the
-    // order the legacy scan visited accepting nodes in) instead of every
-    // slot; the ready list — and therefore the RNG draw — is identical.
+    // reconfiguration are only used when nothing else is up. The accepting
+    // set is id-ordered, so the ready list — and therefore the RNG draw —
+    // is the one an id-ascending scan of the shard would build.
     WorkerNode* fallback = nullptr;
     std::vector<WorkerNode*> ready;
-    if (config_.indexed_dispatch) {
-      ready.reserve(shard.accepting.size());
-      for (NodeId id : shard.accepting) {
-        WorkerNode* node = nodes_[id].get();
-        PROTEAN_DCHECK(node->accepting());
-        if (node->gpu().reconfiguring()) {
-          if (fallback == nullptr) fallback = node;
-          continue;
-        }
-        ready.push_back(node);
+    ready.reserve(shard.accepting.size());
+    for (NodeId id : shard.accepting) {
+      WorkerNode* node = nodes_[id].get();
+      if (node->gpu().reconfiguring()) {
+        if (fallback == nullptr) fallback = node;
+        continue;
       }
-#ifndef NDEBUG
-      // The index must mirror live accepting() over the whole slot range —
-      // a missed load-listener notification shows up here, not as a silent
-      // routing divergence.
-      for (NodeId id = shard.lo; id < shard.hi; ++id) {
-        PROTEAN_CHECK(nodes_[id]->accepting() ==
-                      (shard.accepting.count(id) != 0));
-      }
-#endif
-    } else {
-      ready.reserve(shard.hi - shard.lo);
-      for (NodeId id = shard.lo; id < shard.hi; ++id) {
-        WorkerNode* node = nodes_[id].get();
-        if (!node->accepting()) continue;
-        if (node->gpu().reconfiguring()) {
-          if (fallback == nullptr) fallback = node;
-          continue;
-        }
-        ready.push_back(node);
-      }
+      ready.push_back(node);
     }
     if (ready.empty()) return fallback;
     return ready[dispatch_rng_.index(ready.size())];
   }
-  // Least-loaded. The indexed path takes the first entry of the (work, id)
-  // order that passes the reconfiguring filter: the same argmin — with the
-  // same lowest-id tie-break — the legacy strict-< scan computed, found in
-  // O(log n) maintenance + O(skips) instead of O(n) per choose.
-  if (config_.indexed_dispatch) {
-    WorkerNode* best = nullptr;
-    for (const auto& [load, id] : shard.by_load) {
-      WorkerNode* node = nodes_[id].get();
-      PROTEAN_DCHECK(node->accepting() && node->outstanding_work() == load);
-      if (node->gpu().reconfiguring() && node->queued() > 4) continue;
-      best = node;
-      break;
-    }
-    PROTEAN_DCHECK(best == least_loaded_scan(shard.lo, shard.hi));
-    if (best != nullptr) return best;
-    // Fall back to any accepting node (all may be reconfiguring + loaded);
-    // the membership set is id-ordered, so begin() is the legacy scan's hit.
-    if (!shard.accepting.empty()) {
-      return nodes_[*shard.accepting.begin()].get();
-    }
-    return nullptr;
-  }
-  WorkerNode* best = least_loaded_scan(shard.lo, shard.hi);
-  if (best != nullptr) return best;
-  // Fall back to any accepting node (all may be reconfiguring + loaded).
-  for (NodeId id = shard.lo; id < shard.hi; ++id) {
-    if (nodes_[id]->accepting()) return nodes_[id].get();
+  if (WorkerNode* best = least_loaded_indexed(shard)) return best;
+  // Fall back to any accepting node (all may be reconfiguring + loaded);
+  // the membership set is id-ordered, so begin() is the lowest id.
+  if (!shard.accepting.empty()) {
+    return nodes_[*shard.accepting.begin()].get();
   }
   return nullptr;
 }
@@ -550,7 +543,7 @@ void Cluster::maybe_arm_hedge(workload::Batch& batch) {
 }
 
 void Cluster::on_lost_batch(workload::Batch&& batch) {
-  collector_.record_lost_work(batch.strict, batch.count);
+  collector_.record_lost_work(batch.count);
   if (collector_.seen(batch.id)) return;  // a twin already settled this id
   if (batch.attempts >= config_.fault.retry.max_retries) {
     if (workflow_ && batch.flow != 0) {

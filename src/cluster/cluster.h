@@ -139,6 +139,14 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   int total_failed_reconfigurations() const;
   std::size_t backlog() const noexcept { return backlog_.size(); }
 
+  /// Cross-checks every shard's dispatch index against a full scan of live
+  /// node state: the accepting set, the (outstanding work, id) load order,
+  /// and the least-loaded pick against least_loaded_scan. Throws
+  /// std::logic_error on the first mismatch and returns true otherwise, so
+  /// dispatch can run it under PROTEAN_DCHECK (Debug builds check every
+  /// dispatch; Release builds pay nothing) and tests can call it directly.
+  bool verify_dispatch_index() const;
+
  private:
   /// Incrementally-maintained dispatch index for one shard: accepting
   /// nodes ordered by (outstanding work, id) — the least-loaded argmin with
@@ -172,9 +180,11 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   std::uint32_t shard_of(NodeId id) const noexcept;
   /// Load-listener target: refreshes node `id`'s index entry.
   void on_node_load_changed(NodeId id);
-  /// Reference least-loaded scan over [lo, hi) (the pre-index dispatch
-  /// path); the indexed choose must agree with it exactly.
-  WorkerNode* least_loaded_scan(NodeId lo, NodeId hi);
+  /// Reference least-loaded scan over [lo, hi): the test oracle that
+  /// least_loaded_indexed must agree with exactly.
+  WorkerNode* least_loaded_scan(NodeId lo, NodeId hi) const;
+  /// The least-loaded pick dispatch makes, read from the shard's index.
+  WorkerNode* least_loaded_indexed(const ShardState& shard) const;
   /// One-pass-per-event cache for the fleet busy/memory integrals, so a
   /// telemetry scrape reading several utilization gauges walks the nodes
   /// once instead of once per gauge.

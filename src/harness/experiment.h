@@ -79,10 +79,6 @@ struct ExperimentConfig {
     scheme = s;
     return *this;
   }
-  ExperimentConfig& with_strict_model(std::string name) {
-    strict_model = std::move(name);
-    return *this;
-  }
   ExperimentConfig& with_strict_fraction(double fraction) {
     strict_fraction = fraction;
     return *this;
@@ -99,14 +95,6 @@ struct ExperimentConfig {
     trace.target_rps = rps;
     return *this;
   }
-  ExperimentConfig& with_trace_kind(trace::TraceKind kind) {
-    trace.kind = kind;
-    return *this;
-  }
-  ExperimentConfig& with_horizon(Duration horizon) {
-    trace.horizon = horizon;
-    return *this;
-  }
   ExperimentConfig& with_nodes(std::uint32_t count) {
     cluster.node_count = count;
     return *this;
@@ -115,16 +103,6 @@ struct ExperimentConfig {
   /// run time; 1 (the default) is byte-identical to the unsharded plane.
   ExperimentConfig& with_shards(std::uint32_t count) {
     cluster.shards = count;
-    return *this;
-  }
-  /// false routes dispatches through the legacy full-scan paths instead of
-  /// the maintained load index (the bench_scale baseline).
-  ExperimentConfig& with_indexed_dispatch(bool indexed) {
-    cluster.indexed_dispatch = indexed;
-    return *this;
-  }
-  ExperimentConfig& with_slo_multiplier(double multiplier) {
-    cluster.slo_multiplier = multiplier;
     return *this;
   }
   ExperimentConfig& with_market(spot::ProcurementPolicy policy,
@@ -137,20 +115,8 @@ struct ExperimentConfig {
     warmup = w;
     return *this;
   }
-  ExperimentConfig& with_latency_samples(bool keep = true) {
-    keep_latency_samples = keep;
-    return *this;
-  }
   ExperimentConfig& with_memcache(const memcache::MemCacheConfig& mc) {
     cluster.memcache = mc;
-    return *this;
-  }
-  ExperimentConfig& with_gpu_memory(MemGb gb) {
-    cluster.gpu_memory_gb = gb;
-    return *this;
-  }
-  ExperimentConfig& with_mem_timeline(bool keep = true) {
-    keep_mem_timeline = keep;
     return *this;
   }
   ExperimentConfig& with_cache_access_log(bool keep = true) {
@@ -159,10 +125,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& with_faults(const fault::FaultConfig& fc) {
     cluster.fault = fc;
-    return *this;
-  }
-  ExperimentConfig& with_autoscale(const autoscale::AutoscaleConfig& ac) {
-    cluster.autoscale = ac;
     return *this;
   }
   ExperimentConfig& with_substrate(const softgpu::SoftGpuConfig& sg) {
@@ -187,10 +149,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& with_telemetry(telemetry::TelemetryOptions options) {
     telemetry = std::move(options);
-    return *this;
-  }
-  ExperimentConfig& with_burn(const telemetry::BurnRateConfig& config) {
-    burn = config;
     return *this;
   }
   ExperimentConfig& with_sketch_collector(double alpha = 0.01) {
@@ -231,7 +189,7 @@ struct Report {
   std::uint64_t dropped = 0;
   int reconfigurations = 0;
   /// Discrete events the simulator executed over the whole run (including
-  /// the drain window) — the numerator of bench_scale's events/sec.
+  /// the drain window); perfbench reports it as the `sim.events` counter.
   std::uint64_t events_executed = 0;
 
   double cost_usd = 0.0;

@@ -324,11 +324,6 @@ Cluster:
                         power-of-two-choices balances arrivals across shards
                         (default 1 = the classic single gateway, which stays
                         byte-identical; clamped to --nodes; see docs/scale.md)
-  --scale-mode MODE     placement data structures: indexed (maintained
-                        load/accepting indexes, O(log n) dispatch; default)
-                        or legacy (full scans). Both modes produce identical
-                        reports; legacy exists for A/B benchmarking
-                        (see docs/scale.md)
   --gpu-mem GB          per-GPU memory: 40 (A100-40GB, default) or 80;
                         MIG slice capacities scale proportionally
   --memcache POLICY:GB  enable the per-node model-weight cache with the
@@ -444,7 +439,7 @@ const std::vector<std::string>& cli_flags() {
       "--trace-file",    "--rps",
       "--horizon",       "--warmup",
       "--strict-frac",   "--nodes",
-      "--shards",        "--scale-mode",
+      "--shards",
       "--slo-mult",      "--spot",
       "--p-rev",         "--faults",
       "--fault-retries", "--hedge",
@@ -467,7 +462,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
   opts.schemes.clear();
 
   bool rps_given = false;
-  bool model_given = false;
   bool fault_retries_given = false;
   bool hedge_given = false;
   std::string model_name = "ResNet 50";
@@ -512,7 +506,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
                     " (see --list-models)");
       }
       model_name = *value;
-      model_given = true;
     } else if (arg == "--trace") {
       const auto value = next("--trace");
       if (!value) return fail("--trace needs a value");
@@ -572,18 +565,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--shards needs 1..1024");
       opts.config.cluster.shards = static_cast<std::uint32_t>(*n);
-    } else if (arg == "--scale-mode") {
-      const auto value = next("--scale-mode");
-      if (!value) return fail("--scale-mode needs indexed | legacy");
-      const std::string mode = lower(*value);
-      if (mode == "indexed") {
-        opts.config.cluster.indexed_dispatch = true;
-      } else if (mode == "legacy") {
-        opts.config.cluster.indexed_dispatch = false;
-      } else {
-        return fail("unknown scale mode: " + *value +
-                    " (want indexed | legacy)");
-      }
     } else if (arg == "--slo-mult") {
       const auto value = next("--slo-mult");
       const auto m = value ? parse_double(*value) : std::nullopt;
@@ -815,7 +796,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
   if (rps_given) {
     opts.config.trace.target_rps = rps;
   }
-  (void)model_given;
 
   if (!opts.trace_file.empty()) {
     opts.config.trace.kind = trace::TraceKind::kTable;

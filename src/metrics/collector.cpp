@@ -69,13 +69,6 @@ void Collector::record_requests(bool strict, int count, double lat_first,
                                 double lat_last, double slo) {
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
   auto& sink = strict ? strict_lat_ : be_lat_;
-  if (!sketch && legacy_reserve_) {
-    // Historical growth policy: reserve(size + count) reallocates to exactly
-    // that capacity, so every batch recopies the whole store — O(total^2)
-    // bytes over a run. The default path lets push_back grow geometrically
-    // (amortized O(1)); values are identical, only allocation differs.
-    sink.reserve(sink.size() + static_cast<std::size_t>(count));
-  }
   for (int i = 0; i < count; ++i) {
     // Requests are spread uniformly over [first_arrival, last_arrival];
     // request 0 is the earliest, i.e. the longest-waiting.
@@ -99,9 +92,6 @@ void Collector::record_requests(bool strict, int count, double lat_first,
 
 void Collector::record_stage(const workload::Batch& batch) {
   ++stages_recorded_;
-  stage_queue_seconds_ += batch.stage_queue_delay();
-  stage_cold_seconds_ += batch.cold_start;
-  stage_exec_seconds_ += batch.exec_time;
   const SimTime since = batch.stage > 0 ? batch.formed_at : batch.first_arrival;
   const double raw_queue =
       (batch.exec_start - since) - batch.cold_start - batch.transfer;

@@ -165,11 +165,6 @@ class Collector {
 
   std::uint64_t stages_recorded() const noexcept { return stages_recorded_; }
   std::uint64_t flows_recorded() const noexcept { return flows_recorded_; }
-  /// Component sums over every recorded stage batch (diagnostics;
-  /// unfiltered by measure_from).
-  double stage_queue_seconds() const noexcept { return stage_queue_seconds_; }
-  double stage_cold_seconds() const noexcept { return stage_cold_seconds_; }
-  double stage_exec_seconds() const noexcept { return stage_exec_seconds_; }
 
   void record_cold_start() { ++cold_starts_; }
 
@@ -185,13 +180,6 @@ class Collector {
   /// not inflate throughput or latency statistics.
   void set_dedup(bool enabled) { dedup_ = enabled; }
 
-  /// Restores the pre-indexed-refactor latency store growth: an exact-size
-  /// reserve per recorded batch, which libstdc++ turns into a full realloc +
-  /// copy of the store every time (quadratic bytes moved over a run). Kept
-  /// selectable so `--scale-mode legacy` benchmarks the historical hot path
-  /// faithfully; the recorded values are identical either way.
-  void set_legacy_reserve(bool enabled) { legacy_reserve_ = enabled; }
-
   /// True when a terminal event (completion or drop) for this batch id was
   /// already recorded. Only meaningful with dedup enabled.
   bool seen(BatchId id) const { return seen_.count(id) != 0; }
@@ -203,9 +191,8 @@ class Collector {
 
   /// Requests whose in-flight execution was aborted by a fault. Lost work is
   /// not the same as dropped: the batch may still be retried and served.
-  void record_lost_work(bool strict, int count) {
+  void record_lost_work(int count) {
     lost_requests_ += static_cast<std::uint64_t>(count);
-    if (strict) lost_strict_requests_ += static_cast<std::uint64_t>(count);
   }
   void record_retry() { ++retries_; }
   void record_hedge() { ++hedges_; }
@@ -220,9 +207,6 @@ class Collector {
   std::uint64_t cache_misses() const noexcept { return cache_misses_; }
   std::uint64_t cache_evictions() const noexcept { return cache_evictions_; }
   std::uint64_t lost_requests() const noexcept { return lost_requests_; }
-  std::uint64_t lost_strict_requests() const noexcept {
-    return lost_strict_requests_;
-  }
   std::uint64_t retries() const noexcept { return retries_; }
   std::uint64_t hedges() const noexcept { return hedges_; }
   std::uint64_t duplicate_hedges() const noexcept { return duplicate_hedges_; }
@@ -255,9 +239,6 @@ class Collector {
   }
   double strict_mean() const {
     return strict_sketch_ ? strict_sketch_->mean() : mean_f(strict_lat_);
-  }
-  double be_mean() const {
-    return be_sketch_ ? be_sketch_->mean() : mean_f(be_lat_);
   }
 
   /// Full latency samples (seconds), for CDFs and significance tests.
@@ -314,18 +295,13 @@ class Collector {
   std::uint64_t cache_misses_ = 0;
   std::uint64_t cache_evictions_ = 0;
   std::uint64_t lost_requests_ = 0;
-  std::uint64_t lost_strict_requests_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t hedges_ = 0;
   std::uint64_t duplicate_hedges_ = 0;
   std::uint64_t stages_recorded_ = 0;
   std::uint64_t flows_recorded_ = 0;
-  double stage_queue_seconds_ = 0.0;
-  double stage_cold_seconds_ = 0.0;
-  double stage_exec_seconds_ = 0.0;
   std::uint64_t negative_component_clamps_ = 0;
   bool dedup_ = false;
-  bool legacy_reserve_ = false;
   std::unordered_set<BatchId> seen_;
   SimTime measure_from_ = 0.0;
 };

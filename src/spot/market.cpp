@@ -117,7 +117,6 @@ void Market::start() {
               settle_cost(node);
               st.tier = VmTier::kSpot;
               st.vm_since = sim_.now();
-              ++spot_acquisitions_;
             }
           }
         });
@@ -138,11 +137,6 @@ void Market::bring_up(NodeId node, VmTier tier) {
   st.acquiring = false;
   st.tier = tier;
   st.vm_since = sim_.now();
-  if (tier == VmTier::kSpot) {
-    ++spot_acquisitions_;
-  } else {
-    ++od_acquisitions_;
-  }
   listener_.on_node_restored(node, tier);
 }
 

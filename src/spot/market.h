@@ -147,8 +147,6 @@ class Market {
   double on_demand_reference_cost() const;
 
   int evictions() const noexcept { return evictions_; }
-  int spot_acquisitions() const noexcept { return spot_acquisitions_; }
-  int on_demand_acquisitions() const noexcept { return od_acquisitions_; }
 
   /// Abrupt spot kill (fault injection): the VM dies *now*, with no
   /// eviction notice. Only spot-tier VMs can be killed this way; a
@@ -186,8 +184,6 @@ class Market {
   SimTime started_at_ = 0.0;
   bool running_ = false;
   int evictions_ = 0;
-  int spot_acquisitions_ = 0;
-  int od_acquisitions_ = 0;
   int releases_ = 0;
 };
 

@@ -107,11 +107,6 @@ class MetricsRegistry {
   /// with sample_names(). Resets summary windows exactly like scrape().
   void scrape_values(std::vector<double>* out);
 
-  /// Instrument counts, for tests.
-  std::size_t counter_count() const noexcept { return counters_.size(); }
-  std::size_t gauge_count() const noexcept { return gauges_.size(); }
-  std::size_t summary_count() const noexcept { return summaries_.size(); }
-
   /// Base metric name -> OpenMetrics type string ("counter", "gauge",
   /// "summary") over every registered instrument. Used by the exposition
   /// writer for `# TYPE` lines.

@@ -48,11 +48,6 @@ struct ModelProfile {
   /// the device; the remainder is per-batch activation memory.
   MemGb weight_gb = 0.0;
 
-  /// Activation part of the *full-batch* footprint: mem_gb − weight_gb.
-  MemGb activation_gb() const noexcept {
-    return mem_gb > weight_gb ? mem_gb - weight_gb : 0.0;
-  }
-
   /// Fractional Bandwidth Requirement of one batch job (Eq. 1's bw×sm).
   double fbr = 0.0;
 

@@ -177,23 +177,19 @@ TEST(Cli, ClusterKnobsApply) {
 }
 
 TEST(Cli, ScaleFlagsApply) {
-  // Defaults: one shard, indexed placement (docs/scale.md).
-  const auto defaults = must_parse({});
-  EXPECT_EQ(defaults.config.cluster.shards, 1u);
-  EXPECT_TRUE(defaults.config.cluster.indexed_dispatch);
+  // Default: one shard (docs/scale.md).
+  EXPECT_EQ(must_parse({}).config.cluster.shards, 1u);
 
-  const auto opts = must_parse({"--nodes", "16", "--shards", "4",
-                                "--scale-mode", "legacy"});
+  const auto opts = must_parse({"--nodes", "16", "--shards", "4"});
   EXPECT_EQ(opts.config.cluster.shards, 4u);
-  EXPECT_FALSE(opts.config.cluster.indexed_dispatch);
-  EXPECT_TRUE(
-      must_parse({"--scale-mode", "indexed"}).config.cluster.indexed_dispatch);
 
   EXPECT_FALSE(parse_cli({"--shards", "0"}).options);
   EXPECT_FALSE(parse_cli({"--shards", "2000"}).options);
   EXPECT_FALSE(parse_cli({"--shards"}).options);
-  EXPECT_FALSE(parse_cli({"--scale-mode", "turbo"}).options);
-  EXPECT_FALSE(parse_cli({"--scale-mode"}).options);
+  // Placement has one implementation, so there is no mode to select.
+  EXPECT_NE(must_fail({"--scale-mode", "legacy"})
+                .find("unknown option: --scale-mode"),
+            std::string::npos);
 }
 
 TEST(Cli, HelpAndListFlags) {

@@ -1,5 +1,5 @@
-// Tests for the control-plane scale refactor (docs/scale.md): indexed
-// placement byte-identity, sharded gateways, incrementally-maintained
+// Tests for the control-plane scale refactor (docs/scale.md): the indexed
+// placement's full-scan oracle, sharded gateways, incrementally-maintained
 // fleet counters, and the batch object pool.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "cluster/cluster.h"
 #include "cluster/gateway.h"
 #include "common/pool.h"
+#include "fault/config.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "sched/registry.h"
@@ -22,7 +23,8 @@ namespace {
 
 using workload::ModelCatalog;
 
-/// bench_scale's smallest grid cell, shrunk to test scale.
+/// The primary 9-node cell over a 10 s horizon: small enough for tier-1,
+/// large enough to split into three shards.
 harness::ExperimentConfig nine_node_config(sched::Scheme scheme) {
   auto config = harness::primary_config("ResNet 50", 10.0)
                     .with_scheme(scheme)
@@ -36,28 +38,6 @@ harness::ExperimentConfig nine_node_config(sched::Scheme scheme) {
 std::string fingerprint(const harness::Report& report) {
   return harness::report_to_json(report).dump(2);
 }
-
-class SchemeIdentity : public ::testing::TestWithParam<sched::Scheme> {};
-
-TEST_P(SchemeIdentity, IndexedPlacementMatchesLegacyScan) {
-  const sched::Scheme scheme = GetParam();
-  const harness::Report indexed = harness::run_experiment(
-      nine_node_config(scheme).with_indexed_dispatch(true));
-  const harness::Report legacy = harness::run_experiment(
-      nine_node_config(scheme).with_indexed_dispatch(false));
-  EXPECT_EQ(fingerprint(indexed), fingerprint(legacy))
-      << sched::scheme_name(scheme);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SchemeIdentity, ::testing::ValuesIn(sched::all_schemes()),
-    [](const ::testing::TestParamInfo<sched::Scheme>& info) {
-      std::string name = sched::scheme_cli_name(info.param);
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
 
 TEST(ScaleIdentity, SingleShardMatchesUnshardedBaseline) {
   const harness::Report base =
@@ -82,16 +62,24 @@ struct ShardedDeployment {
   std::unique_ptr<cluster::Cluster> cluster;
   std::unique_ptr<trace::WorkloadDriver> driver;
 
+  /// `faults` is a `--faults` spec; empty leaves fault injection off.
   ShardedDeployment(std::uint32_t nodes, std::uint32_t shards,
-                    double rps = 1200.0, Duration horizon = 20.0) {
-    scheduler = sched::make_scheduler(sched::Scheme::kProtean);
+                    double rps = 1200.0, Duration horizon = 20.0,
+                    sched::Scheme scheme = sched::Scheme::kProtean,
+                    const std::string& faults = "") {
+    scheduler = sched::make_scheduler(scheme);
     cluster::ClusterConfig config;
     config.node_count = nodes;
     config.shards = shards;
+    if (!faults.empty()) {
+      const auto plan = fault::parse_fault_spec(faults);
+      EXPECT_TRUE(plan.has_value()) << faults;
+      if (plan) config.fault = *plan;
+    }
     std::vector<cluster::Scheduler*> shard_ptrs;
     if (shards > 1) {
       for (std::uint32_t s = 0; s < shards; ++s) {
-        shard_store.push_back(sched::make_scheduler(sched::Scheme::kProtean));
+        shard_store.push_back(sched::make_scheduler(scheme));
         shard_ptrs.push_back(shard_store.back().get());
       }
     }
@@ -119,6 +107,24 @@ struct ShardedDeployment {
     sim.run_until(horizon);
     cluster->flush_gateways();
     sim.run_until(horizon + drain);
+  }
+
+  /// run(), advanced in 0.25 s slices with the dispatch index cross-checked
+  /// against a full node scan after every slice.
+  void run_verified(Duration horizon, Duration drain) {
+    constexpr Duration kStep = 0.25;
+    cluster->start();
+    driver->start();
+    bool flushed = false;
+    for (int i = 1; i * kStep <= horizon + drain; ++i) {
+      const SimTime t = i * kStep;
+      sim.run_until(t);
+      if (!flushed && t >= horizon) {
+        cluster->flush_gateways();
+        flushed = true;
+      }
+      ASSERT_NO_THROW(cluster->verify_dispatch_index()) << "t=" << t;
+    }
   }
 };
 
@@ -189,6 +195,39 @@ TEST(ShardedCluster, BatchIdsAreGloballyUniqueAcrossShards) {
   EXPECT_EQ(unique.size(), ids.size());
   EXPECT_EQ(ids.size(), 12u);
 }
+
+// ---- dispatch index oracle ------------------------------------------------
+
+class DispatchOracle : public ::testing::TestWithParam<sched::Scheme> {};
+
+TEST_P(DispatchOracle, IndexMatchesFullScanThroughoutTheRun) {
+  // Crashes on a shard-0 and a shard-2 node take them out of (and, after
+  // the reboot, back into) the accepting set mid-run.
+  const std::string crashes = "crash@3:n1,crash@5:n7,reboot=2";
+  for (const std::uint32_t shards : {1u, 3u}) {
+    for (const std::string& faults : {std::string(), crashes}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " faults=" + faults);
+      ShardedDeployment d(9, shards, /*rps=*/3000.0, /*horizon=*/10.0,
+                          GetParam(), faults);
+      d.run_verified(10.0, 5.0);
+      EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
+      if (!faults.empty()) {
+        ASSERT_NE(d.cluster->injector(), nullptr);
+        EXPECT_EQ(d.cluster->injector()->injected_crashes(), 2);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, DispatchOracle, ::testing::ValuesIn(sched::all_schemes()),
+    [](const ::testing::TestParamInfo<sched::Scheme>& info) {
+      std::string name = sched::scheme_cli_name(info.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 // ---- incrementally-maintained fleet counters ------------------------------
 
