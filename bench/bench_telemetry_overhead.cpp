@@ -50,6 +50,7 @@ void stream_requests(metrics::Collector& collector, int n) {
     batch.strict = (i % 2) == 0;
     batch.first_arrival = static_cast<double>(i) * 1e-3;
     batch.last_arrival = batch.first_arrival;
+    batch.formed_at = batch.first_arrival;
     batch.completed_at =
         batch.first_arrival + 0.05 + 0.001 * static_cast<double>(i % 950);
     batch.slo = 0.5;

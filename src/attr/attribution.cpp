@@ -8,22 +8,6 @@
 
 namespace protean::attr {
 
-namespace {
-/// Identity tolerance, seconds. Residuals below -kEps are accounting bugs.
-constexpr double kEps = 1e-9;
-
-constexpr const char* kCauseNames[kCauseCount] = {
-    "formation",  "queue",        "cold_boot", "weight_load",
-    "swap_stall", "deficiency",   "interference", "transfer",
-    "retry",      "blackout",     "service",   "dropped",
-};
-}  // namespace
-
-const char* cause_name(Cause cause) noexcept {
-  const auto i = static_cast<std::size_t>(cause);
-  return i < static_cast<std::size_t>(kCauseCount) ? kCauseNames[i] : "unknown";
-}
-
 AttributionEngine::AttributionEngine(const AttrConfig& config,
                                      obs::Tracer* tracer)
     : config_(config), tracer_(tracer) {
@@ -33,69 +17,28 @@ AttributionEngine::AttributionEngine(const AttrConfig& config,
   }
 }
 
-Decomposition AttributionEngine::decompose(
-    const workload::Batch& batch) noexcept {
-  Decomposition d;
-  // Later workflow stages start their accounting clock at their own
-  // creation; time before that belongs to predecessor stages.
-  const SimTime start =
-      batch.stage > 0 ? batch.formed_at : batch.first_arrival;
-  const double span = batch.completed_at - start;
-  d[Cause::kFormation] =
-      batch.stage > 0 ? 0.0 : batch.formed_at - batch.first_arrival;
-  d[Cause::kWeightLoad] = batch.weight_load;
-  d[Cause::kColdBoot] = batch.cold_start - batch.weight_load;
-  d[Cause::kSwapStall] = batch.swap_stall;
-  // Deliberately unclamped (unlike the legacy *_delay() accessors): a
-  // negative raw component here surfaces as a negative queue residual and
-  // trips the identity check instead of hiding inside a clamp.
-  d[Cause::kDeficiency] = batch.solo_on_slice - batch.solo_min;
-  d[Cause::kInterference] =
-      batch.exec_time - batch.solo_on_slice - batch.swap_stall;
-  d[Cause::kTransfer] = batch.transfer;
-  d[Cause::kRetry] = batch.retry_overhead;
-  d[Cause::kBlackout] = batch.reconfig_blackout;
-  d[Cause::kService] = batch.solo_min;
-  double known = 0.0;
-  for (double p : d.parts) known += p;
-  // Queue wait is the residual: the identity Σ parts == span then holds by
-  // construction, and a negative residual is the detectable failure mode.
-  d[Cause::kQueue] = span - known;
-  return d;
-}
-
-Decomposition AttributionEngine::decompose_checked(
-    const workload::Batch& batch) {
-  Decomposition d = decompose(batch);
-  if (d[Cause::kQueue] < -kEps) {
-    ++identity_violations_;
-    PROTEAN_DCHECK(d[Cause::kQueue] >= -kEps);
-  }
-  return d;
-}
-
 void AttributionEngine::observe_batch(const workload::Batch& batch,
+                                      const Decomposition& d,
                                       double lat_first, double lat_last) {
-  const Decomposition d = decompose_checked(batch);
   aggregate(d, batch.model, batch.node, batch.strict, batch.count, lat_first,
             lat_last, batch.slo, batch.id);
 }
 
 void AttributionEngine::observe_flow(const metrics::FlowRecord& flow,
-                                     const Decomposition& chain,
                                      NodeId sink_node) {
   const double lat_first = flow.completed_at - flow.first_arrival;
   const double lat_last = flow.completed_at - flow.last_arrival;
   // Stage spans along the critical chain telescope: every stage's span
   // starts exactly at its critical predecessor's completion, so the summed
   // decomposition must equal the end-to-end latency from both sides.
-  const double residual = lat_first - chain.total();
-  if (residual < -kEps || residual > kEps) {
+  const double residual = lat_first - flow.chain.total();
+  if (residual < -workload::kLaneEps || residual > workload::kLaneEps) {
     ++identity_violations_;
-    PROTEAN_DCHECK(residual >= -kEps && residual <= kEps);
+    PROTEAN_DCHECK(residual >= -workload::kLaneEps &&
+                   residual <= workload::kLaneEps);
   }
-  aggregate(chain, flow.model, sink_node, flow.strict, flow.count, lat_first,
-            lat_last, flow.slo, flow.id);
+  aggregate(flow.chain, flow.model, sink_node, flow.strict, flow.count,
+            lat_first, lat_last, flow.slo, flow.id);
 }
 
 void AttributionEngine::observe_dropped(bool strict, int count) {
@@ -121,7 +64,7 @@ void AttributionEngine::aggregate(const Decomposition& d,
   group.requests += static_cast<std::uint64_t>(count);
   if (!strict) return;
 
-  // Mirror of Collector::record_requests(): the same arrival ramp and the
+  // Mirror of Collector::record_terminal(): the same arrival ramp and the
   // same compliance comparison, so violation totals match exactly. Request
   // i arrived later than request 0 by (lat_first - lat_i); only its
   // formation wait shrinks by that much — every other component is shared
@@ -167,7 +110,7 @@ std::string AttributionEngine::dominant_cause() const {
   for (std::size_t c = 1; c < static_cast<std::size_t>(kCauseCount); ++c) {
     if (cause_violations_[c] > cause_violations_[best]) best = c;
   }
-  return kCauseNames[best];
+  return cause_name(static_cast<Cause>(best));
 }
 
 std::vector<AttributionEngine::GroupRow> AttributionEngine::group_rows()

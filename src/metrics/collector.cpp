@@ -20,6 +20,29 @@ std::size_t Collector::latency_store_bytes() const noexcept {
   return (strict_lat_.capacity() + be_lat_.capacity()) * sizeof(float);
 }
 
+Breakdown breakdown_of(const workload::Decomposition& d) noexcept {
+  using workload::Cause;
+  Breakdown b;
+  b.queue = d[Cause::kFormation] + d[Cause::kQueue] + d[Cause::kRetry] +
+            d[Cause::kBlackout] + d[Cause::kTransfer];
+  b.cold = d[Cause::kColdBoot] + d[Cause::kWeightLoad];
+  b.min_time = d[Cause::kService];
+  b.deficiency = d[Cause::kDeficiency];
+  b.interference = d[Cause::kInterference];
+  b.swap = d[Cause::kSwapStall];
+  return b;
+}
+
+void Collector::check_lanes(const workload::Decomposition& d) {
+  for (const double lane : d.parts) {
+    if (lane < -workload::kLaneEps) {
+      ++negative_component_clamps_;
+      PROTEAN_DCHECK(lane >= -workload::kLaneEps);
+      return;
+    }
+  }
+}
+
 void Collector::record(const workload::Batch& batch) {
   PROTEAN_CHECK_MSG(batch.completed_at > 0.0, "batch not completed");
   PROTEAN_CHECK_MSG(batch.count > 0, "empty batch");
@@ -29,44 +52,26 @@ void Collector::record(const workload::Batch& batch) {
     ++duplicate_hedges_;
     return;
   }
+  const workload::Decomposition d = workload::decompose(batch);
+  check_lanes(d);
   if (batch.first_arrival < measure_from_) return;
 
-  const double lat_first = batch.completed_at - batch.first_arrival;
-  const double lat_last = batch.completed_at - batch.last_arrival;
-  PROTEAN_DCHECK(lat_first >= lat_last - 1e-9);
-
-  record_requests(batch.strict, batch.count, lat_first, lat_last, batch.slo);
-  if (observer_) {
-    observer_(batch.completed_at, batch.strict, lat_first, lat_last,
-              batch.count, batch.slo);
+  const BatchBreakdown entry{
+      batch.completed_at, batch.completed_at - batch.first_arrival,
+      batch.completed_at - batch.last_arrival, breakdown_of(d), batch.slo,
+      batch.count, batch.strict, batch.model};
+  record_terminal(entry);
+  if (attr_batch_hook_) {
+    attr_batch_hook_(batch, d, entry.worst_latency, entry.best_latency);
   }
-  if (attr_batch_hook_) attr_batch_hook_(batch, lat_first, lat_last);
-
-  // The clamp in queue_delay() hides accounting bugs (time charged to two
-  // components at once); count raw negatives so audits can assert zero.
-  const double raw_queue =
-      (batch.exec_start - batch.first_arrival) - batch.cold_start;
-  if (raw_queue < -1e-9) ++negative_component_clamps_;
-
-  BatchBreakdown bb;
-  bb.completed_at = batch.completed_at;
-  bb.worst_latency = lat_first;
-  bb.best_latency = lat_last;
-  bb.slo = batch.slo;
-  bb.model = batch.model;
-  bb.cold = batch.cold_start;
-  bb.queue = batch.queue_delay();
-  bb.min_time = batch.solo_min;
-  bb.deficiency = batch.deficiency_delay();
-  bb.interference = batch.interference_delay();
-  bb.swap = batch.swap_stall_delay();
-  bb.count = batch.count;
-  bb.strict = batch.strict;
-  batches_.push_back(bb);
 }
 
-void Collector::record_requests(bool strict, int count, double lat_first,
-                                double lat_last, double slo) {
+void Collector::record_terminal(const BatchBreakdown& entry) {
+  const bool strict = entry.strict;
+  const int count = entry.count;
+  const double lat_first = entry.worst_latency;
+  const double lat_last = entry.best_latency;
+  PROTEAN_DCHECK(lat_first >= lat_last - 1e-9);
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
   auto& sink = strict ? strict_lat_ : be_lat_;
   for (int i = 0; i < count; ++i) {
@@ -83,19 +88,24 @@ void Collector::record_requests(bool strict, int count, double lat_first,
     }
     if (strict) {
       ++strict_total_;
-      if (lat <= slo + 1e-9) ++strict_compliant_;
+      if (lat <= entry.slo + 1e-9) ++strict_compliant_;
     } else {
       ++be_total_;
     }
   }
+  if (observer_) {
+    observer_(entry.completed_at, strict, lat_first, lat_last, count,
+              entry.slo);
+  }
+  batches_.push_back(entry);
 }
 
-void Collector::record_stage(const workload::Batch& batch) {
+workload::Decomposition Collector::record_stage(
+    const workload::Batch& batch) {
   ++stages_recorded_;
-  const SimTime since = batch.stage > 0 ? batch.formed_at : batch.first_arrival;
-  const double raw_queue =
-      (batch.exec_start - since) - batch.cold_start - batch.transfer;
-  if (raw_queue < -1e-9) ++negative_component_clamps_;
+  const workload::Decomposition d = workload::decompose(batch);
+  check_lanes(d);
+  return d;
 }
 
 bool Collector::record_flow(const FlowRecord& flow) {
@@ -105,34 +115,10 @@ bool Collector::record_flow(const FlowRecord& flow) {
   if (flow.first_arrival < measure_from_) return false;
   ++flows_recorded_;
 
-  const double lat_first = flow.completed_at - flow.first_arrival;
-  const double lat_last = flow.completed_at - flow.last_arrival;
-  PROTEAN_DCHECK(lat_first >= lat_last - 1e-9);
-
-  record_requests(flow.strict, flow.count, lat_first, lat_last, flow.slo);
-  if (observer_) {
-    observer_(flow.completed_at, flow.strict, lat_first, lat_last, flow.count,
-              flow.slo);
-  }
-
-  BatchBreakdown bb;
-  bb.completed_at = flow.completed_at;
-  bb.worst_latency = lat_first;
-  bb.best_latency = lat_last;
-  bb.slo = flow.slo;
-  bb.model = flow.model;
-  bb.cold = flow.cold;
-  // BatchBreakdown has no transfer lane; inter-stage hops are wait time
-  // from the request's perspective, so they fold into queueing here (the
-  // workflow report block carries the exact transfer split).
-  bb.queue = flow.queue + flow.transfer;
-  bb.min_time = flow.min_time;
-  bb.deficiency = flow.deficiency;
-  bb.interference = flow.interference;
-  bb.swap = flow.swap;
-  bb.count = flow.count;
-  bb.strict = flow.strict;
-  batches_.push_back(bb);
+  record_terminal({flow.completed_at, flow.completed_at - flow.first_arrival,
+                   flow.completed_at - flow.last_arrival,
+                   breakdown_of(flow.chain), flow.slo, flow.count, flow.strict,
+                   flow.model});
   return true;
 }
 
@@ -154,12 +140,12 @@ Breakdown average_over(const std::vector<const BatchBreakdown*>& batches) {
   Breakdown out;
   if (batches.empty()) return out;
   for (const auto* b : batches) {
-    out.queue += b->queue;
-    out.cold += b->cold;
-    out.min_time += b->min_time;
-    out.deficiency += b->deficiency;
-    out.interference += b->interference;
-    out.swap += b->swap;
+    out.queue += b->breakdown.queue;
+    out.cold += b->breakdown.cold;
+    out.min_time += b->breakdown.min_time;
+    out.deficiency += b->breakdown.deficiency;
+    out.interference += b->breakdown.interference;
+    out.swap += b->breakdown.swap;
   }
   const double n = static_cast<double>(batches.size());
   out.queue /= n;
@@ -170,20 +156,29 @@ Breakdown average_over(const std::vector<const BatchBreakdown*>& batches) {
   out.swap /= n;
   return out;
 }
+
+/// Average breakdown over the records `keep` selects whose worst latency is
+/// at or above the p-th percentile of theirs.
+template <typename Keep>
+Breakdown tail_over(const std::vector<BatchBreakdown>& records, double p,
+                    Keep keep) {
+  std::vector<float> worst;
+  for (const auto& b : records) {
+    if (keep(b)) worst.push_back(static_cast<float>(b.worst_latency));
+  }
+  if (worst.empty()) return {};
+  const double cutoff = percentile(worst, p);
+  std::vector<const BatchBreakdown*> tail;
+  for (const auto& b : records) {
+    if (keep(b) && b.worst_latency >= cutoff - 1e-12) tail.push_back(&b);
+  }
+  return average_over(tail);
+}
 }  // namespace
 
 Breakdown Collector::tail_breakdown(double p) const {
-  std::vector<float> strict_worst;
-  for (const auto& b : batches_) {
-    if (b.strict) strict_worst.push_back(static_cast<float>(b.worst_latency));
-  }
-  if (strict_worst.empty()) return {};
-  const double cutoff = percentile(strict_worst, p);
-  std::vector<const BatchBreakdown*> tail;
-  for (const auto& b : batches_) {
-    if (b.strict && b.worst_latency >= cutoff - 1e-12) tail.push_back(&b);
-  }
-  return average_over(tail);
+  return tail_over(batches_, p,
+                   [](const BatchBreakdown& b) { return b.strict; });
 }
 
 std::vector<float> Collector::latencies_for(
@@ -223,21 +218,9 @@ double Collector::slo_compliance_pct_for(
 
 Breakdown Collector::tail_breakdown_for(const workload::ModelProfile* model,
                                         double p) const {
-  std::vector<float> worst;
-  for (const auto& b : batches_) {
-    if (b.model == model && b.strict) {
-      worst.push_back(static_cast<float>(b.worst_latency));
-    }
-  }
-  if (worst.empty()) return {};
-  const double cutoff = percentile(worst, p);
-  std::vector<const BatchBreakdown*> tail;
-  for (const auto& b : batches_) {
-    if (b.model == model && b.strict && b.worst_latency >= cutoff - 1e-12) {
-      tail.push_back(&b);
-    }
-  }
-  return average_over(tail);
+  return tail_over(batches_, p, [model](const BatchBreakdown& b) {
+    return b.model == model && b.strict;
+  });
 }
 
 Breakdown Collector::mean_breakdown() const {

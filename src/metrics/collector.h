@@ -5,7 +5,9 @@
 // arrival span), tracks SLO compliance for strict requests, and keeps
 // per-batch latency breakdowns so that Fig. 2/6-style stacked-bar rows can
 // be reconstructed (queueing vs cold start vs resource deficiency vs
-// interference vs minimum possible time).
+// interference vs minimum possible time). It decomposes each record once
+// (workload::decompose), checks every lane, and derives the breakdown and
+// the attribution feed from that one split.
 #pragma once
 
 #include <cstdint>
@@ -18,45 +20,49 @@
 #include "metrics/sketch.h"
 #include "metrics/stats.h"
 #include "workload/batch.h"
+#include "workload/latency.h"
 
 namespace protean::metrics {
 
-/// Per-batch latency attribution (seconds). The components sum to the
-/// latency of the batch's earliest (= worst-off) request.
-struct BatchBreakdown {
-  SimTime completed_at = 0.0;
-  double worst_latency = 0.0;
-  double best_latency = 0.0;  // latency of the batch's latest request
+/// Fig. 2/6 latency columns (seconds): the eleven decomposition lanes
+/// grouped the way the paper's stacked bars are. Summed over the columns it
+/// is the same total as the lanes.
+struct Breakdown {
   double queue = 0.0;
   double cold = 0.0;
   double min_time = 0.0;      // solo on 7g: the "min possible time"
   double deficiency = 0.0;    // RDF-induced slowdown
   double interference = 0.0;  // MPS co-location slowdown
   double swap = 0.0;          // memory-oversubscription swap stall
+  double total() const noexcept {
+    return queue + cold + min_time + deficiency + interference + swap;
+  }
+};
+
+/// Groups decomposition lanes into Breakdown columns — the only code that
+/// knows the mapping: queue = formation + queue + retry + blackout +
+/// transfer, cold = cold_boot + weight_load, min_time = service, and
+/// deficiency, interference and swap are their own lanes.
+Breakdown breakdown_of(const workload::Decomposition& d) noexcept;
+
+/// One recorded batch or flow. `breakdown` sums to the latency of the
+/// earliest (= worst-off) request.
+struct BatchBreakdown {
+  SimTime completed_at = 0.0;
+  double worst_latency = 0.0;
+  double best_latency = 0.0;  // latency of the batch's latest request
+  Breakdown breakdown;
   double slo = 0.0;           // relative deadline (strict only)
   int count = 0;
   bool strict = false;
   const workload::ModelProfile* model = nullptr;
 };
 
-/// Aggregated latency attribution, e.g. averaged over the tail.
-struct Breakdown {
-  double queue = 0.0;
-  double cold = 0.0;
-  double min_time = 0.0;
-  double deficiency = 0.0;
-  double interference = 0.0;
-  double swap = 0.0;
-  double total() const noexcept {
-    return queue + cold + min_time + deficiency + interference + swap;
-  }
-};
-
 /// Terminal record of one workflow flow (src/workflow): the per-request
 /// side of the split record() API. A flow's stage batches are recorded
-/// through record_stage() — components only, never request latencies — and
+/// through record_stage() — lanes only, never request latencies — and
 /// exactly one FlowRecord carries the end-to-end latency, SLO verdict and
-/// summed per-stage components, so multi-stage requests are counted once.
+/// critical-chain decomposition, so multi-stage requests are counted once.
 struct FlowRecord {
   BatchId id = 0;  ///< flow id (the sealed entry batch's gateway id)
   const workload::ModelProfile* model = nullptr;  ///< entry-stage model
@@ -66,14 +72,10 @@ struct FlowRecord {
   SimTime last_arrival = 0.0;
   SimTime completed_at = 0.0;  ///< last sink stage completion
   double slo = kNeverTime;     ///< end-to-end deadline, relative seconds
-  // Per-stage latencies folded into end-to-end components:
-  Duration queue = 0.0;         ///< summed stage queueing delays
-  Duration cold = 0.0;          ///< summed stage cold starts
-  Duration min_time = 0.0;      ///< critical-path solo service time
-  Duration deficiency = 0.0;    ///< summed RDF-induced slowdowns
-  Duration interference = 0.0;  ///< summed co-location slowdowns
-  Duration swap = 0.0;          ///< summed swap-stall time
-  Duration transfer = 0.0;      ///< summed inter-stage transfer hops
+  /// Summed stage decompositions along the critical chain (the
+  /// last-finishing sink back through each stage's last-finishing input);
+  /// telescopes to `completed_at - first_arrival`.
+  workload::Decomposition chain;
 };
 
 class Collector {
@@ -103,14 +105,15 @@ class Collector {
 
   // ---- attribution feed (src/attr) ---------------------------------------
   //
-  // Same contract as the batch observer, but with the full Batch in hand so
-  // the attribution engine can decompose it. Called after the dedup and
-  // measure_from filters, i.e. exactly once per batch this collector's own
-  // statistics counted — which is what makes the engine's violation totals
-  // reproduce strict_violations() exactly. Function-typed (not a direct
-  // dependency) so metrics stays below attr in the build graph.
+  // Same contract as the batch observer, but with the full Batch and the
+  // collector's checked decomposition of it in hand. Called after the dedup
+  // and measure_from filters, i.e. exactly once per batch this collector's
+  // own statistics counted — which is what makes the engine's violation
+  // totals reproduce strict_violations() exactly. Function-typed (not a
+  // direct dependency) so metrics stays below attr in the build graph.
   using AttrBatchHook =
-      std::function<void(const workload::Batch&, double, double)>;
+      std::function<void(const workload::Batch&,
+                         const workload::Decomposition&, double, double)>;
   void set_attr_batch_hook(AttrBatchHook hook) {
     attr_batch_hook_ = std::move(hook);
   }
@@ -136,6 +139,8 @@ class Collector {
   std::size_t latency_store_bytes() const noexcept;
 
   /// Records a completed batch. The batch must have completed_at set.
+  /// Every non-duplicate batch is decomposed and lane-checked, warmup
+  /// batches included; only those past measure_from enter the statistics.
   void record(const workload::Batch& batch);
 
   /// Records a request that was dropped (e.g. VM evicted before service).
@@ -149,18 +154,20 @@ class Collector {
   // component aggregates only, and the flow's single terminal record owns
   // the request latencies and the end-to-end SLO verdict.
 
-  /// Per-stage path: component bookkeeping for one completed stage batch.
+  /// Per-stage path: decomposes and lane-checks one completed stage batch
+  /// and returns the split (the runtime sums it along the critical chain).
   /// Never touches the latency store, SLO counters, observer, or batch
   /// records, so workflow statistics cannot double-count a request.
-  void record_stage(const workload::Batch& batch);
+  workload::Decomposition record_stage(const workload::Batch& batch);
 
   /// Per-request (terminal) path: one end-to-end flow. Claims the flow id
   /// (a retried/raced duplicate is discarded under dedup), applies the
   /// measure_from filter, expands the same per-request latency ramp as
   /// record(), and counts SLO compliance against the flow's end-to-end
-  /// deadline. The batch-records entry folds transfer time into queueing.
-  /// Returns true iff the flow entered the statistics (not deduped or
-  /// filtered) — the attribution engine keys off the same verdict.
+  /// deadline. The batch-records entry is breakdown_of(flow.chain), whose
+  /// lanes record_stage() already checked. Returns true iff the flow
+  /// entered the statistics (not deduped or filtered) — the attribution
+  /// engine keys off the same verdict.
   bool record_flow(const FlowRecord& flow);
 
   std::uint64_t stages_recorded() const noexcept { return stages_recorded_; }
@@ -220,9 +227,9 @@ class Collector {
     return strict_total_ - strict_compliant_;
   }
 
-  /// Times the raw queue-delay expression in record()/record_stage() went
-  /// below -1e-9 before clamping — a nonzero value means some component
-  /// accounting double-charged time (see queue_delay()'s clamp).
+  /// Recorded batches and stages with a decomposition lane below
+  /// -kLaneEps — a nonzero value means some accounting double-charged time
+  /// or served a request before it arrived. Debug builds die instead.
   std::uint64_t negative_component_clamps() const noexcept {
     return negative_component_clamps_;
   }
@@ -272,11 +279,13 @@ class Collector {
                                double p) const;
 
  private:
-  /// Shared per-request path of record()/record_flow(): expands the linear
-  /// latency ramp into the store and the SLO counters. Bit-identical to
-  /// the loop record() always ran, so single-model runs are unchanged.
-  void record_requests(bool strict, int count, double lat_first,
-                       double lat_last, double slo);
+  /// Shared terminal path of record()/record_flow(): expands the linear
+  /// latency ramp from worst to best latency into the store and the SLO
+  /// counters, feeds the batch observer, and keeps the entry.
+  void record_terminal(const BatchBreakdown& entry);
+
+  /// The one lane check: every lane of `d` must be >= -kLaneEps.
+  void check_lanes(const workload::Decomposition& d);
 
   std::vector<float> strict_lat_;
   std::vector<float> be_lat_;

@@ -54,36 +54,43 @@ std::vector<const workload::ModelProfile*> WorkloadDriver::be_models() const {
 }
 
 void WorkloadDriver::start() {
-  task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.tick, [this] { tick(); }, /*fire_immediately=*/true);
+  window_start_ = sim_.now();
+  task_ = std::make_unique<sim::PeriodicTask>(sim_, config_.tick,
+                                              [this] { tick(); });
 }
 
-void WorkloadDriver::maybe_rotate_be_model() {
+void WorkloadDriver::maybe_rotate_be_model(SimTime now) {
   if (!config_.be_schedule.empty()) {
     while (schedule_index_ < config_.be_schedule.size() &&
-           sim_.now() >= config_.be_schedule[schedule_index_].first) {
+           now >= config_.be_schedule[schedule_index_].first) {
       ++schedule_index_;
     }
     return;
   }
-  if (be_pool_.size() > 1 && sim_.now() >= next_rotation_) {
+  if (be_pool_.size() > 1 && now >= next_rotation_) {
     std::size_t next = rng_.index(be_pool_.size());
     if (next == be_index_) next = (next + 1) % be_pool_.size();
     be_index_ = next;
-    next_rotation_ = sim_.now() + config_.be_rotation_period;
+    next_rotation_ = now + config_.be_rotation_period;
     LOG_DEBUG << "BE model rotated to " << be_pool_[be_index_]->name;
   }
 }
 
 void WorkloadDriver::tick() {
-  const SimTime now = sim_.now();
-  if (now >= trace_.horizon()) {
+  // Deliver the window [window_start, now] that just closed. Everything
+  // about the window (BE rotation, rate, Poisson draw, the count_from test)
+  // keys off its start, so the arrival process is the same as if it were
+  // drawn when the window opened; only its delivery waits for the close.
+  const SimTime window_start = window_start_;
+  const SimTime window_end = sim_.now();
+  window_start_ = window_end;
+  if (window_start >= trace_.horizon()) {
     task_->stop();
     return;
   }
-  maybe_rotate_be_model();
+  maybe_rotate_be_model(window_start);
 
-  const double rate = trace_.rate_at(now);
+  const double rate = trace_.rate_at(window_start);
   const double expected = rate * config_.tick;
   const auto total = static_cast<int>(rng_.poisson(expected));
   if (total <= 0) return;
@@ -101,19 +108,18 @@ void WorkloadDriver::tick() {
   }
   const int be_count = total - strict_count;
 
-  const SimTime window_end = now + config_.tick;
   if (strict_count > 0) {
     sink_.on_arrivals(*config_.strict_model, /*strict=*/true, strict_count,
-                      now, window_end);
-    if (now >= config_.count_from) {
+                      window_start, window_end);
+    if (window_start >= config_.count_from) {
       strict_emitted_ += static_cast<std::uint64_t>(strict_count);
     }
   }
   if (be_count > 0) {
-    sink_.on_arrivals(current_be_model(), /*strict=*/false, be_count, now,
-                      window_end);
+    sink_.on_arrivals(current_be_model(), /*strict=*/false, be_count,
+                      window_start, window_end);
   }
-  if (now >= config_.count_from) {
+  if (window_start >= config_.count_from) {
     emitted_ += static_cast<std::uint64_t>(total);
   }
 }

@@ -1,11 +1,14 @@
 // Workload driver: turns a RateTrace into request arrivals.
 //
-// Every tick (default 5 ms) the driver draws a Poisson count from the trace
-// rate, splits it into strict and best-effort portions, and pushes the
-// arrivals into a RequestSink (the cluster gateway). Strict requests target
-// one fixed model; BE requests target a model that rotates every ~20 s
-// through the opposite interference class (Section 5), unless an explicit
-// BE schedule is supplied (used to reproduce Fig. 7's DPN 92 switch).
+// Every tick (default 5 ms) the driver closes the window that just ended,
+// draws a Poisson count from the trace rate at the window's start, splits it
+// into strict and best-effort portions, and pushes the arrivals into a
+// RequestSink (the cluster gateway). A window is delivered only once it has
+// closed, so the sink never sees a request before its arrival time. Strict
+// requests target one fixed model; BE requests target a model that rotates
+// every ~20 s through the opposite interference class (Section 5), unless
+// an explicit BE schedule is supplied (used to reproduce Fig. 7's DPN 92
+// switch).
 #pragma once
 
 #include <memory>
@@ -20,7 +23,8 @@
 namespace protean::trace {
 
 /// Receives aggregated arrivals. `count` requests of (model, strict) arrive
-/// uniformly spread over [window_start, window_end).
+/// uniformly spread over [window_start, window_end); the driver calls this
+/// at window_end, once the window has closed.
 class RequestSink {
  public:
   virtual ~RequestSink() = default;
@@ -63,7 +67,7 @@ class WorkloadDriver {
 
  private:
   void tick();
-  void maybe_rotate_be_model();
+  void maybe_rotate_be_model(SimTime now);
 
   sim::Simulator& sim_;
   DriverConfig config_;
@@ -77,6 +81,7 @@ class WorkloadDriver {
   std::uint64_t emitted_ = 0;
   std::uint64_t strict_emitted_ = 0;
   std::unique_ptr<sim::PeriodicTask> task_;
+  SimTime window_start_ = 0.0;  ///< start of the window the next tick closes
   // Carries the fractional expected strict count across ticks so the strict
   // share converges to strict_fraction exactly rather than only on average.
   double strict_carry_ = 0.0;

@@ -132,7 +132,7 @@ TEST(Decomposition, CauseNamesAreStableAndOrdered) {
 
 TEST(Decomposition, SumsExactlyToWorstLatency) {
   const workload::Batch batch = sample_batch();
-  const Decomposition d = AttributionEngine::decompose(batch);
+  const Decomposition d = workload::decompose(batch);
   EXPECT_NEAR(d.total(), batch.worst_latency(), 1e-12);
   EXPECT_NEAR(d[Cause::kFormation], 0.3, 1e-12);
   EXPECT_DOUBLE_EQ(d[Cause::kWeightLoad], 0.25);
@@ -152,13 +152,15 @@ TEST(Decomposition, SumsExactlyToWorstLatency) {
 TEST(Decomposition, SwapSplitPreservesCombinedInterference) {
   workload::Batch batch = sample_batch();
   const double combined = batch.exec_time - batch.solo_on_slice;
-  EXPECT_NEAR(batch.interference_delay() + batch.swap_stall_delay(), combined,
+  Decomposition d = workload::decompose(batch);
+  EXPECT_NEAR(d[Cause::kInterference] + d[Cause::kSwapStall], combined,
               1e-12);
-  EXPECT_DOUBLE_EQ(batch.swap_stall_delay(), 0.1);
+  EXPECT_DOUBLE_EQ(d[Cause::kSwapStall], 0.1);
   // With no swap stall the interference lane reverts to the old value.
   batch.swap_stall = 0.0;
-  EXPECT_NEAR(batch.interference_delay(), combined, 1e-12);
-  EXPECT_DOUBLE_EQ(batch.swap_stall_delay(), 0.0);
+  d = workload::decompose(batch);
+  EXPECT_NEAR(d[Cause::kInterference], combined, 1e-12);
+  EXPECT_DOUBLE_EQ(d[Cause::kSwapStall], 0.0);
 }
 
 TEST(Decomposition, StageBatchesSpanFromTheirOwnFormation) {
@@ -166,28 +168,34 @@ TEST(Decomposition, StageBatchesSpanFromTheirOwnFormation) {
   batch.stage = 2;
   batch.flow = 7;
   batch.formed_at = 10.8;  // stage job spawned well after gateway arrival
-  const Decomposition d = AttributionEngine::decompose(batch);
+  const Decomposition d = workload::decompose(batch);
   // Later stages account only their own span; formation is the
   // predecessor's to account.
   EXPECT_DOUBLE_EQ(d[Cause::kFormation], 0.0);
   EXPECT_NEAR(d.total(), batch.completed_at - batch.formed_at, 1e-12);
 }
 
-TEST(Decomposition, CheckedFormCountsNegativeResiduals) {
-  attr::AttrConfig config;
-  config.enabled = true;
-  AttributionEngine engine(config);
-  workload::Batch batch = sample_batch();
-  // Shrink the span below the summed components: the residual goes
-  // negative, which debug builds treat as fatal and release builds count.
-  batch.completed_at = batch.exec_start + 0.1;
+// The collector checks every lane, not just the queue residual: a batch
+// sealed before its first request arrived has a negative formation lane
+// even when the residual stays positive.
+TEST(Decomposition, CollectorCountsEveryNegativeLane) {
+  workload::Batch residual = sample_batch();
+  residual.completed_at = residual.exec_start + 0.1;  // residual < 0
+  workload::Batch formation = sample_batch();
+  formation.formed_at = formation.first_arrival - 0.01;  // sealed too early
+  ASSERT_LT(workload::decompose(formation)[Cause::kFormation], 0.0);
+  ASSERT_GT(workload::decompose(formation)[Cause::kQueue], 0.0);
+  formation.id = residual.id + 1;
+
+  metrics::Collector collector;
 #ifdef NDEBUG
-  engine.decompose_checked(batch);
-  EXPECT_EQ(engine.identity_violations(), 1u);
+  collector.record(residual);
+  collector.record(formation);
 #else
-  EXPECT_THROW(engine.decompose_checked(batch), std::logic_error);
-  EXPECT_EQ(engine.identity_violations(), 1u);
+  EXPECT_THROW(collector.record(residual), std::logic_error);
+  EXPECT_THROW(collector.record(formation), std::logic_error);
 #endif
+  EXPECT_EQ(collector.negative_component_clamps(), 2u);
 }
 
 TEST(Decomposition, DroppedStrictRequestsAreViolations) {
@@ -268,6 +276,18 @@ TEST(AttrIntegration, IdentityHoldsUnderMemcacheOversubscription) {
 }
 
 // Everything at once: the acceptance scenario — faults + workflow + shards.
+// Off the golden scenario: a 128-node fleet at 50k rps seals batches every
+// few milliseconds, so an arrival delivered before its window closed
+// surfaces as a negative formation lane.
+TEST(AttrIntegration, NoNegativeLaneOnALargeFastFleet) {
+  ExperimentConfig config = harness::primary_config("ResNet 50", 6.0);
+  config.trace.target_rps = 50000.0;
+  config.cluster.node_count = 128;
+  config.warmup = 2.0;
+  config.cluster.attr.enabled = true;
+  expect_exact_accounting(run_experiment(config), "128 nodes x 50k rps");
+}
+
 TEST(AttrIntegration, IdentityHoldsWithFaultsWorkflowAndShards) {
   auto config = small_config();
   config.cluster.shards = 8;

@@ -57,6 +57,37 @@ ClusterConfig small_cluster(std::uint32_t nodes = 2) {
   return config;
 }
 
+// Simulated time is causal: no request is batched, started or completed
+// before it arrives. On the default wiki run (8 nodes, 5k rps) a batch
+// fills within a driver window or two, so a window handed to the gateway
+// before it closes shows up at once as last_arrival > formed_at.
+TEST(ClusterIntegration, EveryBatchIsCausalOnTheDefaultWikiRun) {
+  ClusterConfig config;
+  config.node_count = 8;
+  trace::DriverConfig dc;
+  dc.trace.kind = trace::TraceKind::kWiki;
+  dc.trace.target_rps = 5000.0;
+  dc.trace.horizon = 120.0;
+  dc.strict_model = &ModelCatalog::instance().by_name("ResNet 50");
+  Deployment d(sched::Scheme::kProtean, config, dc);
+  std::uint64_t batches = 0;
+  std::uint64_t acausal = 0;
+  d.cluster->collector().set_attr_batch_hook(
+      [&](const workload::Batch& b, const workload::Decomposition&, double,
+          double) {
+        ++batches;
+        const bool ordered = b.first_arrival <= b.last_arrival &&
+                             b.last_arrival <= b.formed_at &&
+                             b.formed_at <= b.exec_start &&
+                             b.exec_start <= b.completed_at;
+        if (!ordered) ++acausal;
+      });
+  d.run(120.0);
+  EXPECT_GT(batches, 3000u);
+  EXPECT_EQ(acausal, 0u);
+  EXPECT_EQ(d.cluster->collector().negative_component_clamps(), 0u);
+}
+
 TEST(ClusterIntegration, ConservesRequests) {
   Deployment d(sched::Scheme::kProtean, small_cluster(), small_driver());
   d.run(20.0);

@@ -209,9 +209,37 @@ cluster::ClusterConfig faulty_cluster(const std::string& spec,
 // ---- scripted crash --------------------------------------------------------
 
 TEST(FaultIntegration, ScriptedCrashKillsInFlightBatchesExactlyOnce) {
-  auto config = faulty_cluster("crash@10:n1,reboot=5");
+  // The crash must land while node 1 is running work, or there is nothing
+  // in flight to kill. Its time is picked by that rule: the first 5 ms grid
+  // point from t=10 s at which node 1 is busy just before it, found on a
+  // probe run whose crash is scripted past the horizon, so the probe's
+  // trajectory matches the real run's up to the crash.
+  constexpr Duration kJustBefore = 1e-6;
+  SimTime crash_at = -1.0;
+  {
+    auto probe_config = faulty_cluster("crash@1000:n1,reboot=5");
+    Deployment probe(probe_config, small_driver());
+    probe.cluster->start();
+    probe.driver->start();
+    for (int step = 0; step < 1000 && crash_at < 0.0; ++step) {
+      const SimTime t = 10.0 + 0.005 * step;
+      probe.sim.run_until(t - kJustBefore);
+      if (probe.cluster->node(1).running() > 0) crash_at = t;
+    }
+  }
+  ASSERT_GT(crash_at, 0.0) << "node 1 never ran work between 10 s and 15 s";
+
+  auto config = faulty_cluster("crash@1000:n1,reboot=5");
+  ASSERT_EQ(config.fault.script.size(), 1u);
+  config.fault.script.front().at = crash_at;
   Deployment d(config, small_driver());
-  d.run(20.0);
+  d.cluster->start();
+  d.driver->start();
+  d.sim.run_until(crash_at - kJustBefore);
+  ASSERT_GT(d.cluster->node(1).running(), 0u) << "crash at " << crash_at;
+  d.sim.run_until(20.0);  // the remainder of d.run(20.0)
+  d.cluster->gateway().flush_all();
+  d.sim.run_until(35.0);
 
   ASSERT_NE(d.cluster->injector(), nullptr);
   EXPECT_EQ(d.cluster->injector()->injected_crashes(), 1);

@@ -28,9 +28,12 @@ Batch make_batch(const ModelProfile& model, bool strict, SimTime arrival,
   b.model = &model;
   b.strict = strict;
   b.count = model.batch_size;
+  // Every request arrives, and the batch seals, at `arrival`; callers
+  // enqueue at that time or later, so no lane of the collector's
+  // decomposition can go negative.
   b.first_arrival = arrival;
-  b.last_arrival = arrival + 0.05;
-  b.formed_at = arrival + 0.05;
+  b.last_arrival = arrival;
+  b.formed_at = arrival;
   b.slo = strict ? model.slo_deadline() : kNeverTime;
   return b;
 }
@@ -65,7 +68,7 @@ TEST(WorkerNode, ColdStartDelaysFirstBatch) {
   f.sim.run_until(f.sim.now() + 30.0);
   EXPECT_EQ(f.node->cold_starts(), 1u);
   ASSERT_EQ(f.collector.batch_records().size(), 1u);
-  EXPECT_NEAR(f.collector.batch_records()[0].cold, 2.0, 1e-9);
+  EXPECT_NEAR(f.collector.batch_records()[0].breakdown.cold, 2.0, 1e-9);
   // Completion = cold start + solo exec.
   EXPECT_GE(f.sim.now(), 2.0 + resnet().solo_time_7g - 1e-9);
 }
@@ -93,7 +96,7 @@ TEST(WorkerNode, ConcurrentSameModelBatchesWaitForSpare) {
   EXPECT_EQ(f.node->cold_starts(), 1u);  // the background spare
   // Neither batch paid the cold start on its critical path.
   for (const auto& record : f.collector.batch_records()) {
-    EXPECT_DOUBLE_EQ(record.cold, 0.0);
+    EXPECT_DOUBLE_EQ(record.breakdown.cold, 0.0);
   }
 }
 

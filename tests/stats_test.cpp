@@ -166,13 +166,42 @@ TEST(Collector, BreakdownComponentsAreAttributed) {
   b.solo_on_slice = 0.3;
   b.completed_at = 1.0;
   collector.record(b);
+  const workload::Decomposition d = workload::decompose(b);
+  using workload::Cause;
+  EXPECT_NEAR(d[Cause::kFormation], 0.05, 1e-9);  // sealed at 0.05
+  EXPECT_NEAR(d[Cause::kQueue], 0.35, 1e-9);      // 0.5 start - 0.05 - 0.1
+  EXPECT_NEAR(d[Cause::kColdBoot], 0.1, 1e-9);
+  EXPECT_NEAR(d[Cause::kService], 0.2, 1e-9);
+  EXPECT_NEAR(d[Cause::kDeficiency], 0.1, 1e-9);    // 0.3 - 0.2
+  EXPECT_NEAR(d[Cause::kInterference], 0.2, 1e-9);  // 0.5 - 0.3
   const Breakdown bd = collector.mean_breakdown();
   EXPECT_NEAR(bd.cold, 0.1, 1e-9);
-  EXPECT_NEAR(bd.queue, 0.4, 1e-9);       // 0.5 start - 0.0 arrival - 0.1 cold
+  EXPECT_NEAR(bd.queue, 0.4, 1e-9);  // formation + node-queue wait
   EXPECT_NEAR(bd.min_time, 0.2, 1e-9);
-  EXPECT_NEAR(bd.deficiency, 0.1, 1e-9);  // 0.3 - 0.2
-  EXPECT_NEAR(bd.interference, 0.2, 1e-9);  // 0.5 - 0.3
+  EXPECT_NEAR(bd.deficiency, 0.1, 1e-9);
+  EXPECT_NEAR(bd.interference, 0.2, 1e-9);
   EXPECT_NEAR(bd.total(), 1.0, 1e-9);
+  EXPECT_EQ(collector.negative_component_clamps(), 0u);
+}
+
+TEST(Collector, BreakdownGroupsEveryLaneIntoOneColumn) {
+  // Distinct powers of two per lane: every column sum identifies exactly
+  // which lanes it took.
+  workload::Decomposition d;
+  for (int c = 0; c < workload::kComponentCount; ++c) {
+    d.parts[static_cast<std::size_t>(c)] = static_cast<double>(1 << c);
+  }
+  using workload::Cause;
+  const Breakdown b = breakdown_of(d);
+  EXPECT_EQ(b.queue, d[Cause::kFormation] + d[Cause::kQueue] +
+                         d[Cause::kRetry] + d[Cause::kBlackout] +
+                         d[Cause::kTransfer]);
+  EXPECT_EQ(b.cold, d[Cause::kColdBoot] + d[Cause::kWeightLoad]);
+  EXPECT_EQ(b.min_time, d[Cause::kService]);
+  EXPECT_EQ(b.deficiency, d[Cause::kDeficiency]);
+  EXPECT_EQ(b.interference, d[Cause::kInterference]);
+  EXPECT_EQ(b.swap, d[Cause::kSwapStall]);
+  EXPECT_EQ(b.total(), d.total());
 }
 
 TEST(Collector, TailBreakdownSelectsWorstBatches) {

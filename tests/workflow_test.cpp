@@ -263,6 +263,36 @@ TEST(WorkflowRuntime, DiamondJoinWaitsForBothBranches) {
   EXPECT_EQ(f.collector_.strict_completed(), 4u);  // counted once, not per stage
 }
 
+TEST(WorkflowRuntime, DiamondBreakdownSumsTheCriticalChainToItsLatency) {
+  RuntimeFixture f(DagShape::kDiamond);
+  // Completions happen at the simulated time they report, so each stage is
+  // formed when its critical predecessor finishes and stage spans telescope.
+  const auto complete_at = [&f](workload::Batch batch, NodeId node,
+                                SimTime at) {
+    f.sim_.run_until(at);
+    return f.complete(std::move(batch), node, at);
+  };
+  workload::Batch batch = f.entry_batch();
+  ASSERT_TRUE(f.runtime_.admit(batch));
+  auto branches = complete_at(batch, 0, 1.5);
+  ASSERT_EQ(branches.size(), 2u);
+  EXPECT_TRUE(complete_at(branches[0], 1, 1.6).empty());  // off the chain
+  auto join = complete_at(branches[1], 2, 1.8);
+  ASSERT_EQ(join.size(), 1u);
+  EXPECT_TRUE(complete_at(join[0], 2, 1.9).empty());
+
+  ASSERT_EQ(f.collector_.batch_records().size(), 1u);
+  const metrics::BatchBreakdown& flow = f.collector_.batch_records()[0];
+  EXPECT_NEAR(flow.worst_latency, 0.9, 1e-12);
+  EXPECT_NEAR(flow.breakdown.total(), flow.worst_latency, 1e-12);
+  const metrics::Breakdown tail = f.collector_.tail_breakdown(99.0);
+  EXPECT_NEAR(tail.total(), 0.9, 1e-12);
+  // Each stage runs 10 ms with no solo baseline, all of it interference;
+  // only the three chain stages (s0, s2, s3) count, not the s1 branch.
+  EXPECT_NEAR(tail.interference, 0.03, 1e-12);
+  EXPECT_EQ(f.collector_.negative_component_clamps(), 0u);
+}
+
 TEST(WorkflowRuntime, DuplicateStageCompletionIsIgnored) {
   RuntimeFixture f(DagShape::kChain);
   workload::Batch batch = f.entry_batch();
