@@ -21,6 +21,7 @@ gpu::JobSpec Scheduler::make_job(const workload::Batch& batch,
 void trace_placement(WorkerNode& node, const workload::Batch& batch,
                      const char* scheme, std::size_t candidates,
                      const gpu::Slice* chosen, double score) {
+  if (node.placement_muted()) return;
   node.count_placement(chosen != nullptr);
   obs::Tracer* t = node.tracer();
   if (t == nullptr || !t->wants(obs::kSched)) return;
@@ -48,12 +49,7 @@ WorkerNode::WorkerNode(sim::Simulator& simulator, NodeId id,
     t->process_name(static_cast<int>(id_) + 1,
                     "node " + std::to_string(id_));
   }
-  gpu_ = make_gpu();
-  gpu_->set_capacity_callback([this] {
-    sync_fleet_gpu_counters();
-    try_dispatch();
-  });
-  install_reconfig_fault_hook();
+  install_gpu();
   if (config_.memcache.enabled) {
     cache_ = std::make_unique<memcache::ModelCache>(sim_, config_.memcache,
                                                     &collector_);
@@ -67,7 +63,7 @@ WorkerNode::WorkerNode(sim::Simulator& simulator, NodeId id,
 
 WorkerNode::~WorkerNode() = default;
 
-std::unique_ptr<gpu::Gpu> WorkerNode::make_gpu() {
+void WorkerNode::install_gpu() {
   // The substrate layer may override the scheduler's native sharing mode on
   // this node (software slicing, or a forced hardware mode).
   const softgpu::SoftGpuConfig& sg = config_.softgpu;
@@ -76,10 +72,18 @@ std::unique_ptr<gpu::Gpu> WorkerNode::make_gpu() {
   const gpu::SoftParams soft = mode == gpu::SharingMode::kSoftSlice
                                    ? softgpu::engine_params(sg)
                                    : gpu::SoftParams{};
-  return std::make_unique<gpu::Gpu>(
+  gpu_ = std::make_unique<gpu::Gpu>(
       sim_, id_, scheduler_.initial_geometry(), mode,
       config_.reconfigure_time, config_.interference, config_.gpu_memory_gb,
       config_.memcache.enabled, config_.tracer, soft);
+  // Fires on job completion, reservation release, reconfiguration and
+  // slice failure: every path on which a slice may admit more than before.
+  gpu_->set_capacity_callback([this] {
+    mark_unsettled();
+    sync_fleet_gpu_counters();
+    try_dispatch();
+  });
+  install_reconfig_fault_hook();
 }
 
 void WorkerNode::count_placement(bool placed) {
@@ -144,17 +148,57 @@ void WorkerNode::register_telemetry(telemetry::MetricsRegistry& registry) {
       registry.counter("placement_deferred_total" + node_label);
 }
 
-void WorkerNode::insert_by_policy(workload::Batch&& batch) {
+std::size_t WorkerNode::insert_by_policy(workload::Batch&& batch) {
   open_blackout_sample(batch);
+  if (!batch.strict) {
+    // BE batches always join the back, so the queue-order sums extend.
+    be_agg_.mem += batch.model->mem_gb;
+    be_agg_.fbr += batch.model->fbr;
+    ++be_agg_.count;
+  }
   if (scheduler_.reorder_strict_first() && batch.strict) {
     // Strict batches jump ahead of all queued BE batches but stay FIFO
     // among themselves (Section 4.1).
     auto it = std::find_if(queue_.begin(), queue_.end(),
                            [](const workload::Batch& b) { return !b.strict; });
+    const auto pos = static_cast<std::size_t>(it - queue_.begin());
     queue_.insert(it, std::move(batch));
-  } else {
-    queue_.push_back(std::move(batch));
+    return pos;
   }
+  queue_.push_back(std::move(batch));
+  return queue_.size() - 1;
+}
+
+workload::Batch WorkerNode::take_queued(std::size_t index) {
+  const auto it = queue_.begin() + static_cast<std::ptrdiff_t>(index);
+  workload::Batch batch = std::move(*it);
+  queue_.erase(it);
+  if (!batch.strict) be_agg_stale_ = true;
+  return batch;
+}
+
+std::vector<workload::Batch> WorkerNode::clear_queue() {
+  std::vector<workload::Batch> flushed(
+      std::make_move_iterator(queue_.begin()),
+      std::make_move_iterator(queue_.end()));
+  queue_.clear();
+  be_agg_ = BeAggregates{};
+  be_agg_stale_ = false;
+  return flushed;
+}
+
+const WorkerNode::BeAggregates& WorkerNode::be_aggregates() const noexcept {
+  if (be_agg_stale_) {
+    be_agg_ = BeAggregates{};
+    for (const auto& b : queue_) {
+      if (b.strict) continue;
+      be_agg_.mem += b.model->mem_gb;
+      be_agg_.fbr += b.model->fbr;
+      ++be_agg_.count;
+    }
+    be_agg_stale_ = false;
+  }
+  return be_agg_;
 }
 
 void WorkerNode::enqueue(workload::Batch batch) {
@@ -179,24 +223,25 @@ void WorkerNode::enqueue(workload::Batch batch) {
                    {{"model", batch.model->name},
                     {"strict", batch.strict ? 1.0 : 0.0}});
   }
-  insert_by_policy(std::move(batch));
-  try_dispatch();
+  const std::size_t pos = insert_by_policy(std::move(batch));
+  if (settled_ && !dispatch_scheduled_) {
+    dispatch_new(pos);
+  } else {
+    try_dispatch();
+  }
 }
 
 MemGb WorkerNode::be_mem_queued() const noexcept {
-  MemGb total = 0.0;
-  for (const auto& b : queue_) {
-    if (!b.strict) total += b.model->mem_gb;
-  }
-  return total;
+  return be_aggregates().mem;
 }
 
 std::size_t WorkerNode::be_queued() const noexcept {
-  std::size_t count = 0;
-  for (const auto& b : queue_) {
-    if (!b.strict) ++count;
-  }
-  return count;
+  return be_aggregates().count;
+}
+
+double WorkerNode::be_fbr_density() const noexcept {
+  const BeAggregates& agg = be_aggregates();
+  return agg.mem <= 0.0 ? 0.0 : agg.fbr / agg.mem;
 }
 
 double WorkerNode::estimated_pressure() const noexcept {
@@ -235,6 +280,7 @@ MemGb WorkerNode::take_be_demand_estimate() {
 }
 
 void WorkerNode::prewarm(const workload::ModelProfile& model, int count) {
+  mark_unsettled();
   auto& pool = containers_[&model];
   pool.warm += count;
   for (int i = 0; i < count; ++i) pool.idle_since.push_back(sim_.now());
@@ -262,6 +308,7 @@ int WorkerNode::boost_warm(const workload::ModelProfile& model, int target) {
       if (p.proactive_booting > 0) --p.proactive_booting;
       ++p.warm;
       p.idle_since.push_back(sim_.now());
+      mark_unsettled();
       try_dispatch();
     });
   }
@@ -296,6 +343,7 @@ void WorkerNode::maybe_boot_spare(const workload::ModelProfile& model) {
     p.spare_booting = false;
     ++p.warm;
     p.idle_since.push_back(sim_.now());
+    mark_unsettled();
     try_dispatch();
   });
 }
@@ -323,26 +371,92 @@ void WorkerNode::try_dispatch() {
   if (!up_ || dispatch_scheduled_) return;
   maybe_sync_cache();
   dispatch_scheduled_ = true;
-  bool progress = true;
-  while (progress && up_) {
-    progress = false;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (!container_available(*it->model)) {
-        // All containers busy: a slot frees within ~one batch execution —
-        // cheaper than a 'cold' boot — while a spare scales up behind it.
-        maybe_boot_spare(*it->model);
-        continue;
-      }
-      gpu::Slice* slice = scheduler_.place(*it, *this);
-      if (slice == nullptr) continue;
-      workload::Batch batch = std::move(*it);
-      queue_.erase(it);
-      start_batch(std::move(batch), slice);
-      progress = true;
-      break;  // iterators invalidated; rescan from the front
+  // One pass in queue order. A placement only consumes capacity on this
+  // node, so a batch passed over stays unplaceable and the scan continues
+  // where it is instead of restarting from the front. A placement that
+  // clears settled_ (capacity came back, or a batch returned to the queue)
+  // restarts it.
+  settled_ = true;
+  passed_models_.clear();
+  std::size_t i = 0;
+  while (up_ && i < queue_.size()) {
+    const workload::Batch& queued = queue_[i];
+    const workload::ModelProfile& model = *queued.model;
+    gpu::Slice* slice = nullptr;
+    if (!container_available(model)) {
+      // All containers busy: a slot frees within ~one batch execution —
+      // cheaper than a 'cold' boot — while a spare scales up behind it.
+      maybe_boot_spare(model);
+    } else {
+      slice = scheduler_.place(queued, *this);
     }
+    if (slice == nullptr) {
+      if (std::find(passed_models_.begin(), passed_models_.end(), &model) ==
+          passed_models_.end()) {
+        passed_models_.push_back(&model);
+      }
+      ++i;
+      continue;
+    }
+    start_batch(take_queued(i), slice);
+    if (!settled_) {
+      settled_ = true;
+      passed_models_.clear();
+      i = 0;
+      continue;
+    }
+    boot_spare_after_placement(
+        model, std::find(passed_models_.begin(), passed_models_.end(),
+                         &model) != passed_models_.end());
   }
   dispatch_scheduled_ = false;
+  PROTEAN_DCHECK(verify_settled());
+}
+
+void WorkerNode::dispatch_new(std::size_t pos) {
+  maybe_sync_cache();
+  const workload::Batch& queued = queue_[pos];
+  const workload::ModelProfile& model = *queued.model;
+  if (!container_available(model)) {
+    maybe_boot_spare(model);
+  } else if (gpu::Slice* slice = scheduler_.place(queued, *this)) {
+    dispatch_scheduled_ = true;
+    start_batch(take_queued(pos), slice);
+    dispatch_scheduled_ = false;
+    if (!settled_) {
+      try_dispatch();
+      return;
+    }
+    boot_spare_after_placement(
+        model, std::any_of(queue_.begin(), queue_.end(),
+                           [&model](const workload::Batch& b) {
+                             return b.model == &model;
+                           }));
+  }
+  PROTEAN_DCHECK(verify_settled());
+}
+
+void WorkerNode::boot_spare_after_placement(
+    const workload::ModelProfile& model, bool model_still_queued) {
+  if (model_still_queued && !container_available(model)) {
+    maybe_boot_spare(model);
+  }
+}
+
+bool WorkerNode::verify_settled() {
+  if (!settled_) return true;
+  placement_muted_ = true;
+  bool ok = true;
+  for (const workload::Batch& b : queue_) {
+    if (container_available(*b.model)) {
+      ok = scheduler_.place(b, *this) == nullptr;
+    } else {
+      ok = containers_.at(b.model).spare_booting;
+    }
+    if (!ok) break;
+  }
+  placement_muted_ = false;
+  return ok;
 }
 
 void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
@@ -352,6 +466,7 @@ void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
     // Defensive: the policy returned a slice that cannot take the job.
     // (The batch's "queue" span stays open — it is still queued.)
     insert_by_policy(std::move(batch));
+    mark_unsettled();  // a running dispatch pass must rescan
     return;
   }
   obs::Tracer* tracer = config_.tracer;
@@ -479,6 +594,7 @@ void WorkerNode::begin_exec(workload::Batch batch, SliceId slice_id,
     --running_;
     batch.cold_start = 0.0;  // already paid; don't double-charge on retry
     batch.weight_load = 0.0;
+    mark_unsettled();  // a container went back to the warm pool
     if (tracer != nullptr && tracer->wants(obs::kSpans)) {
       tracer->async_begin(obs::kSpans, "queue", batch.id,
                           static_cast<int>(id_) + 1, sim_.now(),
@@ -508,6 +624,10 @@ void WorkerNode::begin_exec(workload::Batch batch, SliceId slice_id,
 
 void WorkerNode::on_complete(workload::Batch batch,
                              const gpu::JobCompletion& done) {
+  // Before the stage handler or the collector runs: either may enqueue on
+  // this node, and that enqueue must rescan the whole queue, as the freed
+  // slot belongs to the oldest batch that fits it.
+  mark_unsettled();
   obs::Tracer* tracer = config_.tracer;
   if (tracer != nullptr && tracer->wants(obs::kSpans)) {
     tracer->async_end(obs::kSpans, "exec", batch.id,
@@ -546,6 +666,7 @@ void WorkerNode::on_complete(workload::Batch batch,
 }
 
 void WorkerNode::handle_lost(workload::Batch batch) {
+  mark_unsettled();  // before the lost handler may re-enqueue here
   PROTEAN_DCHECK(running_ > 0);
   if (running_ > 0) --running_;
   outstanding_work_ =
@@ -594,6 +715,10 @@ void WorkerNode::reap_containers() {
            now - pool.idle_since.front() > config_.keep_alive) {
       pool.idle_since.pop_front();
       --pool.warm;
+      // One warm container fewer can leave the model without an available
+      // container, which owes a queued batch of it a spare boot that only
+      // a rescan starts.
+      mark_unsettled();
     }
   }
 }
@@ -632,6 +757,7 @@ bool WorkerNode::inject_ecc(double selector) {
   LOG_DEBUG << "node " << id_ << " ECC failure on slice " << victim
             << ", geometry now " << gpu_->geometry().to_string();
   ecc_degraded_ = true;
+  mark_unsettled();
   maybe_sync_cache();
   schedule_ecc_heal(config_.fault.ecc_repair_delay);
   try_dispatch();
@@ -651,10 +777,7 @@ void WorkerNode::schedule_ecc_heal(Duration delay) {
 }
 
 std::vector<workload::Batch> WorkerNode::take_queue() {
-  std::vector<workload::Batch> flushed(
-      std::make_move_iterator(queue_.begin()),
-      std::make_move_iterator(queue_.end()));
-  queue_.clear();
+  std::vector<workload::Batch> flushed = clear_queue();
   obs::Tracer* tracer = config_.tracer;
   for (workload::Batch& b : flushed) {
     close_blackout_sample(b);
@@ -676,10 +799,7 @@ std::vector<workload::Batch> WorkerNode::evict() {
   up_ = false;
   draining_ = false;
   ++epoch_;
-  std::vector<workload::Batch> flushed(
-      std::make_move_iterator(queue_.begin()),
-      std::make_move_iterator(queue_.end()));
-  queue_.clear();
+  std::vector<workload::Batch> flushed = clear_queue();
   obs::Tracer* tracer = config_.tracer;
   for (workload::Batch& b : flushed) close_blackout_sample(b);
   if (tracer != nullptr && tracer->wants(obs::kSpans)) {
@@ -747,12 +867,8 @@ void WorkerNode::restore() {
   up_ = true;
   draining_ = false;
   ++epoch_;
-  gpu_ = make_gpu();
-  gpu_->set_capacity_callback([this] {
-    sync_fleet_gpu_counters();
-    try_dispatch();
-  });
-  install_reconfig_fault_hook();
+  install_gpu();
+  mark_unsettled();
   sorted_slices_.clear();
   sorted_topology_ = -1;
   maybe_sync_cache();

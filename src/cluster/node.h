@@ -92,6 +92,9 @@ class WorkerNode {
   /// Scheduler::place, independent of tracing). No-op until
   /// register_telemetry installs the counters.
   void count_placement(bool placed);
+  /// True while verify_settled() replays place(): trace_placement then
+  /// neither counts nor traces, so the check leaves no mark on any report.
+  bool placement_muted() const noexcept { return placement_muted_; }
 
   // ---- lifecycle (driven by the spot market) ------------------------------
   bool up() const noexcept { return up_; }
@@ -152,6 +155,9 @@ class WorkerNode {
   MemGb be_mem_queued() const noexcept;
   /// Count of queued best-effort batches.
   std::size_t be_queued() const noexcept;
+  /// FBR per GB of the queued best-effort batches, which turns Algorithm 1's
+  /// tag values into expected interference. Zero when none is queued.
+  double be_fbr_density() const noexcept;
   /// When a strict batch last arrived at this node (kNeverTime negated:
   /// -inf until one ever arrives). Policies use this to decide whether
   /// strict work is "present".
@@ -170,9 +176,17 @@ class WorkerNode {
   MemGb take_be_demand_estimate();
   const std::deque<workload::Batch>& queue() const noexcept { return queue_; }
 
-  /// Attempts to start queued batches; invoked on enqueue, job completion,
-  /// container boot, and reconfiguration completion.
+  /// Attempts to start queued batches in queue order; invoked on enqueue,
+  /// job completion, container boot, and reconfiguration completion. A
+  /// pass that ends without a capacity event during it leaves the node
+  /// *settled*: an enqueue then tries only the new batch (docs/scale.md,
+  /// "Dispatch under backlog").
   void try_dispatch();
+  /// The settled invariant, for Debug checks and tests: every queued batch
+  /// whose container is unavailable has a spare booting, and place()
+  /// (replayed with trace_placement muted) returns null for every other
+  /// queued batch. Trivially true while the node is not settled.
+  bool verify_settled();
 
   /// Starts a MIG geometry change and redistributes queued batches through
   /// the cluster (set_redistribute) so they don't wait out the downtime.
@@ -239,9 +253,36 @@ class WorkerNode {
     std::deque<SimTime> idle_since;  // one entry per warm container
   };
 
+  /// Running sums over the queued best-effort batches, in queue order.
+  struct BeAggregates {
+    MemGb mem = 0.0;
+    double fbr = 0.0;
+    std::size_t count = 0;
+  };
+
   /// Builds this node's GPU with the substrate-resolved sharing mode
-  /// (src/softgpu may override the scheduler's native mode per node).
-  std::unique_ptr<gpu::Gpu> make_gpu();
+  /// (src/softgpu may override the scheduler's native mode per node), and
+  /// wires its capacity callback and injected-fault hook.
+  void install_gpu();
+  /// Records that a queued batch may have become placeable (a job finished
+  /// or was lost, a container booted or was returned, slices changed, a
+  /// batch went back to the queue): the next enqueue rescans, and a
+  /// running pass restarts from the front.
+  void mark_unsettled() noexcept { settled_ = false; }
+  /// Enqueue on a settled node: only the new batch at `pos` can have become
+  /// placeable, so it alone is tried.
+  void dispatch_new(std::size_t pos);
+  /// The spare boot a rescan from the front would start after a placement
+  /// of `model`: when that placement left the model without an available
+  /// container while a batch of it still waits.
+  void boot_spare_after_placement(const workload::ModelProfile& model,
+                                  bool model_still_queued);
+  const BeAggregates& be_aggregates() const noexcept;
+  /// Queue mutations; each keeps the BE aggregates current.
+  /// insert_by_policy returns the new batch's index.
+  std::size_t insert_by_policy(workload::Batch&& batch);
+  workload::Batch take_queued(std::size_t index);
+  std::vector<workload::Batch> clear_queue();
   void start_batch(workload::Batch batch, gpu::Slice* slice);
   void maybe_boot_spare(const workload::ModelProfile& model);
   /// Re-registers the live slice set with the cache after a reconfiguration
@@ -258,7 +299,6 @@ class WorkerNode {
   void schedule_ecc_heal(Duration delay);
   gpu::Slice* find_slice(SliceId slice_id);
   void reap_containers();
-  void insert_by_policy(workload::Batch&& batch);
   /// Reconfiguration-blackout bracketing (src/attr): a queued batch's
   /// reconfig_blackout accrues exactly the GPU downtime it overlapped, as
   /// the difference of the monotone downtime counter at dequeue vs enqueue.
@@ -295,6 +335,15 @@ class WorkerNode {
   std::function<void()> load_listener_;
 
   std::deque<workload::Batch> queue_;
+  // The BE sums stay exact under appends (a BE batch always joins the back,
+  // so adding it extends the queue-order sum) and strict-only changes; a BE
+  // removal marks them stale and the next read re-sums in queue order.
+  mutable BeAggregates be_agg_;
+  mutable bool be_agg_stale_ = false;
+  bool settled_ = false;
+  bool placement_muted_ = false;
+  // Models of the batches a dispatch pass has skipped and left queued.
+  std::vector<const workload::ModelProfile*> passed_models_;
   std::function<void(workload::Batch&&)> redistribute_;
   std::map<const workload::ModelProfile*, ContainerPool> containers_;
   /// Batches whose container is still booting; evictions redistribute them

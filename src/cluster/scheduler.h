@@ -53,7 +53,13 @@ class Scheduler {
 
   /// Chooses the slice `batch` should execute on, or nullptr to leave it
   /// queued. The returned slice must currently admit the JobSpec produced
-  /// by make_job (the node re-checks defensively).
+  /// by make_job (the node re-checks defensively). A node does not ask
+  /// again for a batch left queued until capacity on it may have grown
+  /// (docs/scale.md, "Dispatch under backlog"), so place() must have no
+  /// side effect beyond trace_placement, and a null result may only turn
+  /// into a slice through a job completion or loss, a container boot, or
+  /// a change of the slice set. Enqueues must never make it less
+  /// restrictive.
   virtual gpu::Slice* place(const workload::Batch& batch,
                             WorkerNode& node) = 0;
 

@@ -1,7 +1,6 @@
 #include "core/distributor.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "common/check.h"
@@ -121,19 +120,6 @@ gpu::Slice* JobDistributor::choose_best_effort_slice(
     }
   }
   return nullptr;
-}
-
-double JobDistributor::be_fbr_density(
-    const std::deque<workload::Batch>& queue) {
-  double fbr = 0.0;
-  MemGb mem = 0.0;
-  for (const auto& b : queue) {
-    if (b.strict) continue;
-    fbr += b.model->fbr;
-    mem += b.model->mem_gb;
-  }
-  if (mem <= 0.0) return 0.0;
-  return fbr / mem;
 }
 
 }  // namespace protean::core

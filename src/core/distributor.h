@@ -6,7 +6,6 @@
 // not-fully-BE slice minimizing Eq. 2's slowdown factor η (Guideline 2).
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "gpu/engine.h"
@@ -64,10 +63,6 @@ class JobDistributor {
       bool protect_largest = true,
       const memcache::ModelCache* cache = nullptr,
       double affinity_weight = 0.0);
-
-  /// FBR per GB of the queued best-effort batches on a node, used to turn
-  /// tag values into expected interference. Zero when nothing is queued.
-  static double be_fbr_density(const std::deque<workload::Batch>& queue);
 };
 
 }  // namespace protean::core

@@ -50,10 +50,9 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
                                0.0);
       return nullptr;
     }
-    const double density = JobDistributor::be_fbr_density(node.queue());
     double eta = 0.0;
     gpu::Slice* chosen = JobDistributor::choose_strict_slice(
-        batch, tagged, density, node.cache(),
+        batch, tagged, node.be_fbr_density(), node.cache(),
         node.config().memcache.affinity_weight, &eta);
     cluster::trace_placement(node, batch, scheme, tagged.size(), chosen, eta);
     return chosen;

@@ -120,20 +120,90 @@ TEST(WorkerNode, ReaperTerminatesIdleContainers) {
   EXPECT_EQ(f.node->warm_containers(), 0);
 }
 
+/// The node's cached BE aggregates must equal a fresh queue-order sum,
+/// bit for bit, whatever mutated the queue last.
+void expect_aggregates_fresh(const WorkerNode& node) {
+  MemGb mem = 0.0;
+  double fbr = 0.0;
+  std::size_t count = 0;
+  for (const Batch& b : node.queue()) {
+    if (b.strict) continue;
+    mem += b.model->mem_gb;
+    fbr += b.model->fbr;
+    ++count;
+  }
+  EXPECT_EQ(node.be_mem_queued(), mem);
+  EXPECT_EQ(node.be_queued(), count);
+  EXPECT_EQ(node.be_fbr_density(), mem <= 0.0 ? 0.0 : fbr / mem);
+}
+
 TEST(WorkerNode, BeMemQueuedSumsBestEffortOnly) {
-  Fixture f;
-  // No containers and a full slice would be needed to keep them queued;
-  // use a draining GPU trick instead: fill the slice first.
-  f.node->prewarm(resnet(), 8);
-  f.node->prewarm(mobilenet(), 8);
+  // Time sharing on the whole GPU runs one batch at a time, so a dispatch
+  // pass removes exactly one batch from the front of the queue.
+  sim::Simulator sim;
+  ClusterConfig config;
+  sched::MoleculeBetaScheduler scheduler;
+  metrics::Collector collector;
+  WorkerNode node(sim, 0, config, scheduler, collector);
+  node.prewarm(resnet(), 8);
+  node.prewarm(mobilenet(), 8);
   // Occupy queue by not running: mark gpu slices non-accepting.
+  for (auto* slice : node.gpu().slices()) slice->set_accepting(false);
+  expect_aggregates_fresh(node);
+  node.enqueue(make_batch(mobilenet(), false, 0.0, 1));
+  node.enqueue(make_batch(resnet(), true, 0.0, 2));
+  node.enqueue(make_batch(resnet(), false, 0.0, 3));
+  node.enqueue(make_batch(mobilenet(), false, 0.0, 4));
+  EXPECT_DOUBLE_EQ(node.be_mem_queued(),
+                   2 * mobilenet().mem_gb + resnet().mem_gb);
+  EXPECT_EQ(node.be_queued(), 3u);
+  EXPECT_EQ(node.queued(), 4u);
+  expect_aggregates_fresh(node);
+
+  // Every later queue mutation must invalidate or extend the cached sums.
+  // Dispatch takes the BE batch at the front.
+  for (auto* slice : node.gpu().slices()) slice->set_accepting(true);
+  node.try_dispatch();
+  ASSERT_EQ(node.running(), 1u);
+  ASSERT_EQ(node.queued(), 3u);
+  EXPECT_EQ(node.queue().front().id, 2u);
+  expect_aggregates_fresh(node);
+  EXPECT_EQ(node.be_queued(), 2u);
+
+  // The strict batch runs next; only BE batches remain.
+  sim.run_until(sim.now() + 1.5 * mobilenet().solo_time_7g +
+                config.interference.timeshare_overhead);
+  ASSERT_EQ(node.queued(), 2u);
+  EXPECT_EQ(node.queue().front().id, 3u);
+  expect_aggregates_fresh(node);
+
+  EXPECT_EQ(node.take_queue().size(), 2u);
+  expect_aggregates_fresh(node);
+  EXPECT_EQ(node.be_mem_queued(), 0.0);
+
+  node.enqueue(make_batch(resnet(), false, sim.now(), 5));
+  node.enqueue(make_batch(mobilenet(), false, sim.now(), 6));
+  expect_aggregates_fresh(node);
+  EXPECT_EQ(node.be_queued(), 2u);
+
+  node.evict();
+  expect_aggregates_fresh(node);
+  EXPECT_EQ(node.be_queued(), 0u);
+  node.restore();
+  for (auto* slice : node.gpu().slices()) slice->set_accepting(false);
+  node.enqueue(make_batch(mobilenet(), false, sim.now(), 7));
+  expect_aggregates_fresh(node);
+  EXPECT_EQ(node.be_queued(), 1u);
+}
+
+TEST(WorkerNode, BeFbrDensityAveragesOverQueuedBeBatches) {
+  Fixture f;
+  EXPECT_EQ(f.node->be_fbr_density(), 0.0);
   for (auto* slice : f.node->gpu().slices()) slice->set_accepting(false);
-  f.node->enqueue(make_batch(resnet(), true, 0.0));
   f.node->enqueue(make_batch(mobilenet(), false, 0.0));
-  f.node->enqueue(make_batch(mobilenet(), false, 0.0));
-  EXPECT_DOUBLE_EQ(f.node->be_mem_queued(), 2 * mobilenet().mem_gb);
-  EXPECT_EQ(f.node->be_queued(), 2u);
-  EXPECT_EQ(f.node->queued(), 3u);
+  f.node->enqueue(make_batch(resnet(), true, 0.0));  // ignored
+  EXPECT_DOUBLE_EQ(f.node->be_fbr_density(),
+                   mobilenet().fbr / mobilenet().mem_gb);
 }
 
 TEST(WorkerNode, TakeQueueFlushesPendingBatches) {
@@ -357,6 +427,79 @@ TEST(WorkerNode, DrainingReconfigureStillRedistributesQueue) {
   EXPECT_TRUE(f.node->gpu().reconfiguring());
   EXPECT_EQ(f.node->queued(), 0u);
   EXPECT_EQ(redistributed, 1u);
+}
+
+// ---- settled dispatch (docs/scale.md, "Dispatch under backlog") ----------
+
+TEST(WorkerNode, StageSuccessorQueuesBehindAnOlderBatchForTheFreedSlot) {
+  // Time sharing on the whole GPU: one batch runs at a time. A stage batch
+  // runs while an older batch waits; when the stage completes, the
+  // workflow handler enqueues its successor on the same node *before* the
+  // GPU's capacity callback fires. The freed slot still belongs to the
+  // older batch, exactly as a full rescan from the front would decide.
+  sim::Simulator sim;
+  ClusterConfig config;
+  sched::MoleculeBetaScheduler scheduler;
+  metrics::Collector collector;
+  WorkerNode node(sim, 0, config, scheduler, collector);
+  node.prewarm(resnet(), 4);
+  bool probed = false;
+  node.set_stage_complete_handler([&](Batch&& done) {
+    EXPECT_EQ(done.id, 1u);
+    node.enqueue(make_batch(resnet(), true, sim.now(), 3));
+    // Runs after this completion event, capacity callback included.
+    sim.schedule_after(0.0, [&] {
+      probed = true;
+      EXPECT_EQ(node.running(), 1u);
+      ASSERT_EQ(node.queued(), 1u);
+      EXPECT_EQ(node.queue().front().id, 3u);
+      EXPECT_TRUE(node.verify_settled());
+    });
+  });
+  Batch stage = make_batch(resnet(), true, 0.0, 1);
+  stage.flow = 7;
+  node.enqueue(std::move(stage));
+  node.enqueue(make_batch(resnet(), true, 0.0, 2));
+  ASSERT_EQ(node.running(), 1u);
+  ASSERT_EQ(node.queued(), 1u);
+  EXPECT_TRUE(node.verify_settled());
+  sim.run_until(30.0);
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(node.batches_served(), 3u);
+}
+
+TEST(WorkerNode, PlacementTakingTheLastWarmContainerBootsOneSpare) {
+  // GPUlet runs one strict and one BE batch side by side. With two warm
+  // containers, strict batch 1 runs and strict batch 2 waits for the
+  // strict partition while a warm container stays idle for it. BE batch 3
+  // then takes that last warm container; batch 2 still waits, so a spare
+  // must boot at that instant, as a rescan of the queue would start it.
+  sim::Simulator sim;
+  ClusterConfig config;
+  config.cold_start = 2.0;
+  sched::GpuletScheduler scheduler(0.625, 0.375);
+  metrics::Collector collector;
+  WorkerNode node(sim, 0, config, scheduler, collector);
+  node.prewarm(resnet(), 2);
+  node.enqueue(make_batch(resnet(), true, 0.0, 1));
+  node.enqueue(make_batch(resnet(), true, 0.0, 2));
+  ASSERT_EQ(node.running(), 1u);
+  ASSERT_EQ(node.queued(), 1u);
+  EXPECT_EQ(node.warm_count(resnet()), 1);
+  EXPECT_TRUE(node.verify_settled());
+  EXPECT_EQ(node.cold_starts(), 0u);
+
+  node.enqueue(make_batch(resnet(), false, 0.0, 3));
+  EXPECT_EQ(node.running(), 2u);
+  EXPECT_EQ(node.warm_count(resnet()), 0);
+  EXPECT_EQ(node.cold_starts(), 1u);
+  EXPECT_TRUE(node.verify_settled());
+  // A later enqueue of the same model must not boot a second spare.
+  node.enqueue(make_batch(resnet(), true, 0.0, 4));
+  EXPECT_EQ(node.cold_starts(), 1u);
+  sim.run_until(30.0);
+  EXPECT_EQ(node.batches_served(), 4u);
+  EXPECT_EQ(node.cold_starts(), 1u);
 }
 
 }  // namespace

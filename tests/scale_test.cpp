@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/gateway.h"
+#include "common/json_reader.h"
 #include "common/pool.h"
 #include "fault/config.h"
 #include "harness/experiment.h"
@@ -110,7 +114,8 @@ struct ShardedDeployment {
   }
 
   /// run(), advanced in 0.25 s slices with the dispatch index cross-checked
-  /// against a full node scan after every slice.
+  /// against a full node scan, and every settled node against a replay of
+  /// its queue, after every slice.
   void run_verified(Duration horizon, Duration drain) {
     constexpr Duration kStep = 0.25;
     cluster->start();
@@ -124,6 +129,10 @@ struct ShardedDeployment {
         flushed = true;
       }
       ASSERT_NO_THROW(cluster->verify_dispatch_index()) << "t=" << t;
+      for (NodeId id = 0; id < cluster->node_count(); ++id) {
+        ASSERT_TRUE(cluster->node(id).verify_settled())
+            << "node " << id << " t=" << t;
+      }
     }
   }
 };
@@ -202,18 +211,23 @@ class DispatchOracle : public ::testing::TestWithParam<sched::Scheme> {};
 
 TEST_P(DispatchOracle, IndexMatchesFullScanThroughoutTheRun) {
   // Crashes on a shard-0 and a shard-2 node take them out of (and, after
-  // the reboot, back into) the accepting set mid-run.
+  // the reboot, back into) the accepting set mid-run. 30k rps backs every
+  // node queue up, so settled nodes meet capacity events under backlog.
   const std::string crashes = "crash@3:n1,crash@5:n7,reboot=2";
-  for (const std::uint32_t shards : {1u, 3u}) {
-    for (const std::string& faults : {std::string(), crashes}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " faults=" + faults);
-      ShardedDeployment d(9, shards, /*rps=*/3000.0, /*horizon=*/10.0,
-                          GetParam(), faults);
-      d.run_verified(10.0, 5.0);
-      EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
-      if (!faults.empty()) {
-        ASSERT_NE(d.cluster->injector(), nullptr);
-        EXPECT_EQ(d.cluster->injector()->injected_crashes(), 2);
+  for (const double rps : {3000.0, 30000.0}) {
+    for (const std::uint32_t shards : {1u, 3u}) {
+      for (const std::string& faults : {std::string(), crashes}) {
+        SCOPED_TRACE("rps=" + std::to_string(rps) +
+                     " shards=" + std::to_string(shards) +
+                     " faults=" + faults);
+        ShardedDeployment d(9, shards, rps, /*horizon=*/10.0, GetParam(),
+                            faults);
+        d.run_verified(10.0, 5.0);
+        EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
+        if (!faults.empty()) {
+          ASSERT_NE(d.cluster->injector(), nullptr);
+          EXPECT_EQ(d.cluster->injector()->injected_crashes(), 2);
+        }
       }
     }
   }
@@ -228,6 +242,51 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---- dispatch under backlog (settled nodes) -------------------------------
+
+TEST(SettledDispatch, OverloadedCellPlaceCallsPerBatchStayBounded) {
+  // Deterministic work counter (not wall time) on the overloaded 9-node
+  // PROTEAN cell (`protean_sim --nodes 9 --rps 100000 --horizon 10
+  // --warmup 2`): place() calls per placed batch, read from the final
+  // telemetry scrape, where placement_decisions_total counts placements
+  // and placement_deferred_total null results. Rescanning the whole
+  // backlog on every enqueue and restarting the scan after every placement
+  // cost 1184 calls per batch here (2,081,749 for 1758 batches); settled
+  // dispatch leaves 460, nearly all from the full pass after each
+  // completion.
+  auto config = nine_node_config(sched::Scheme::kProtean);
+  config.trace.target_rps = 100000.0;
+  const std::string path = ::testing::TempDir() + "settled-dispatch.jsonl";
+  telemetry::TelemetryOptions telemetry;
+  telemetry.path = path;
+  telemetry.interval = 5.0;
+  config.with_telemetry(telemetry);
+  harness::run_experiment(config);
+
+  std::ifstream in(path);
+  std::string line;
+  std::optional<JsonValue> last_scrape;
+  while (std::getline(in, line)) {
+    std::string error;
+    std::optional<JsonValue> value = parse_json(line, &error);
+    ASSERT_TRUE(value.has_value()) << error;
+    if (value->find("metrics") != nullptr) last_scrape = std::move(value);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".om").c_str());
+  ASSERT_TRUE(last_scrape.has_value());
+  double placed = 0.0;
+  double deferred = 0.0;
+  for (const auto& [name, value] : last_scrape->find("metrics")->object) {
+    if (name.rfind("placement_decisions_total", 0) == 0) placed += value.number;
+    if (name.rfind("placement_deferred_total", 0) == 0) deferred += value.number;
+  }
+  ASSERT_GT(placed, 1000.0);
+  const double per_batch = (placed + deferred) / placed;
+  RecordProperty("place_calls_per_batch", std::to_string(per_batch));
+  EXPECT_LT(per_batch, 600.0);
+}
 
 // ---- incrementally-maintained fleet counters ------------------------------
 
