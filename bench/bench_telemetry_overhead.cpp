@@ -1,12 +1,12 @@
 // Telemetry overhead bench: wall-clock cost of the scrape pipeline and
-// memory footprint of the sketch-backed latency store.
+// memory footprint of the Collector's latency statistics.
 //
-// Two claims to validate (docs/telemetry.md):
+// Two measurements (docs/telemetry.md):
 //  1. A standard wiki-trace run with `--telemetry` enabled stays within a
 //     few percent of the telemetry-off wall-clock time (target < 5%).
-//  2. The sketch latency store uses far less memory than the per-request
-//     float vectors on a long run, while reporting the same percentiles
-//     within the configured relative-error bound.
+//  2. What the exact (batch-record) and sketch-backed Collector each hold
+//     after a long stream of realistic batches, and the percentiles each
+//     reports.
 #include <chrono>
 #include <cstdio>
 
@@ -38,19 +38,21 @@ double wall_seconds_once(const harness::ExperimentConfig& config) {
   return elapsed.count();
 }
 
-/// Streams `n` per-request latencies (as single-request batches) into a
-/// collector — the long-run memory scenario with the simulation factored
-/// out.
+/// Streams `n` requests in full 128-request batches (the gateway's batch
+/// size under load) into a collector — the long-run memory scenario with
+/// the simulation factored out.
 void stream_requests(metrics::Collector& collector, int n) {
+  constexpr int kBatch = 128;
   workload::Batch batch;
-  batch.count = 1;
-  for (int i = 0; i < n; ++i) {
-    // Latencies spread over [50 ms, ~1 s], strict/BE interleaved.
+  for (int i = 0; i * kBatch < n; ++i) {
+    // Worst latencies spread over [50 ms, ~1 s], each batch's arrivals
+    // over 2.5 ms, strict/BE interleaved.
     batch.id = static_cast<BatchId>(i);
+    batch.count = std::min(kBatch, n - i * kBatch);
     batch.strict = (i % 2) == 0;
     batch.first_arrival = static_cast<double>(i) * 1e-3;
-    batch.last_arrival = batch.first_arrival;
-    batch.formed_at = batch.first_arrival;
+    batch.last_arrival = batch.first_arrival + 0.0025;
+    batch.formed_at = batch.last_arrival;
     batch.completed_at =
         batch.first_arrival + 0.05 + 0.001 * static_cast<double>(i % 950);
     batch.slo = 0.5;
@@ -90,29 +92,28 @@ int main() {
   std::printf("\ntelemetry wall-clock overhead below 5%%: %s\n",
               overhead_pct < 5.0 ? "yes" : "NO");
 
-  // ---- latency-store memory: vectors vs sketches -----------------------
+  // ---- latency-statistics memory: batch records alone vs with sketches --
   const int kRequests = 2'000'000;
-  metrics::Collector vec;
+  metrics::Collector exact;
   metrics::Collector sk;
   sk.use_sketch_store(0.01);
-  stream_requests(vec, kRequests);
+  stream_requests(exact, kRequests);
   stream_requests(sk, kRequests);
 
-  std::printf("\nLatency store after %d requests:\n\n", kRequests);
-  harness::Table mem({"Store", "Bytes", "Strict p99 (ms)", "BE p99 (ms)"});
-  mem.add_row({"float vectors", strfmt("%zu", vec.latency_store_bytes()),
-               bench::ms(vec.strict_percentile(99.0) * 1e3),
-               bench::ms(vec.be_percentile(99.0) * 1e3)});
-  mem.add_row({"sketches (alpha 0.01)", strfmt("%zu", sk.latency_store_bytes()),
-               bench::ms(sk.strict_percentile(99.0) * 1e3),
-               bench::ms(sk.be_percentile(99.0) * 1e3)});
+  std::printf("\nLatency statistics after %d requests in 128-request "
+              "batches:\n\n",
+              kRequests);
+  harness::Table mem({"Collector", "Bytes held", "Bytes/request",
+                      "Strict p99 (ms)", "BE p99 (ms)"});
+  const auto row = [&](const char* name, const metrics::Collector& c) {
+    const std::size_t bytes = c.latency_store_bytes();
+    mem.add_row({name, strfmt("%zu", bytes),
+                 strfmt("%.3f", static_cast<double>(bytes) / kRequests),
+                 bench::ms(c.strict_percentile(99.0) * 1e3),
+                 bench::ms(c.be_percentile(99.0) * 1e3)});
+  };
+  row("exact (batch records)", exact);
+  row("sketches (alpha 0.01) + batch records", sk);
   mem.print();
-
-  const bool smaller = sk.latency_store_bytes() < vec.latency_store_bytes();
-  const double ratio =
-      static_cast<double>(vec.latency_store_bytes()) /
-      static_cast<double>(std::max<std::size_t>(sk.latency_store_bytes(), 1));
-  std::printf("\nsketch store smaller than vector store: %s (%.0fx)\n",
-              smaller ? "yes" : "NO", ratio);
   return 0;
 }

@@ -72,10 +72,7 @@ void AttributionEngine::aggregate(const Decomposition& d,
   std::uint64_t violating = 0;
   Cause worst_cause = Cause::kQueue;
   for (int i = 0; i < count; ++i) {
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
+    const double lat = workload::ramp_latency(lat_first, lat_last, i, count);
     if (lat <= slo + 1e-9) continue;
     const double formation_i =
         d[Cause::kFormation] - (lat_first - lat);

@@ -316,7 +316,7 @@ Report run_experiment(const ExperimentConfig& config) {
     report.workflow.colocated_hops = wf->colocated_hops();
     report.workflow.transfer_hops = wf->transfer_hops();
     report.workflow.transfer_seconds = wf->transfer_seconds();
-    // Only terminal flow records enter the strict latency store when
+    // Only terminal flow records enter the strict latency statistics when
     // workflows are on, so the strict percentiles ARE the end-to-end flow
     // percentiles.
     report.workflow.e2e_p50_ms = report.strict_p50_ms;

@@ -60,10 +60,10 @@ struct ExperimentConfig {
   /// SLO burn-rate alerting knobs (only read when telemetry is enabled).
   telemetry::BurnRateConfig burn;
 
-  /// Back the Collector's latency store with quantile sketches instead of
-  /// per-request float vectors (metrics/sketch.h): percentiles gain an
-  /// `sketch_alpha` relative-error bound, memory stops growing
-  /// O(requests). Independent of `telemetry`.
+  /// Answer the Collector's percentiles and mean from quantile sketches
+  /// (metrics/sketch.h) instead of exactly from its batch records: they
+  /// gain a `sketch_alpha` relative-error bound. The records are kept
+  /// either way, so this saves no memory. Independent of `telemetry`.
   bool sketch_collector = false;
   double sketch_alpha = 0.01;
 

@@ -413,11 +413,12 @@ Output:
                         plus an OpenMetrics snapshot to FILE.om after the
                         run. Multi-run grids write FILE-0, FILE-1, ...
                         See docs/telemetry.md
-  --sketch ALPHA        back the collector's latency store with
+  --sketch ALPHA        answer the report's percentiles and mean from
                         relative-error quantile sketches (ALPHA in
-                        (0, 0.5], e.g. 0.01): percentiles carry an ALPHA
-                        relative-error bound, memory stops growing with
-                        request count
+                        (0, 0.5], e.g. 0.01) instead of exactly: they
+                        carry an ALPHA relative-error bound. Saves no
+                        memory: exact statistics already grow with
+                        batches, not requests
   --dump-mem-timeline FILE
                         write per-node resident-weight timelines as JSON
                         (requires --memcache; classic runs only)

@@ -1,23 +1,330 @@
 #include "metrics/collector.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
+#include <optional>
+#include <utility>
 
 #include "common/check.h"
 
 namespace protean::metrics {
 
+namespace {
+
+/// Latency of request i of a record, as the float the samples hold.
+float sample_at(const BatchBreakdown& b, int i) noexcept {
+  return static_cast<float>(workload::ramp_latency(
+      b.worst_latency, b.best_latency, i, b.count));
+}
+
+/// First index in [0, n] at which `pred` — false up to some index, true
+/// from there on — holds. Probes around `guess` first, so a good guess
+/// costs two or three evaluations; a poor one falls back to bisection.
+template <typename Pred>
+int first_true(int n, int guess, const Pred& pred) {
+  int lo = 0;
+  int hi = n;  // the answer lies in [lo, hi]
+  const auto probe = [&](int i) {
+    if (i < lo || i >= hi) return;
+    if (pred(i)) {
+      hi = i;
+    } else {
+      lo = i + 1;
+    }
+  };
+  probe(guess);
+  probe(guess - 1);
+  probe(guess + 1);
+  while (lo < hi) probe(lo + (hi - lo) / 2);
+  return lo;
+}
+
+/// The ramp of `b` is non-increasing in i (the normal case: the earliest
+/// request waited longest).
+bool falling(const BatchBreakdown& b) noexcept {
+  return b.best_latency <= b.worst_latency;
+}
+
+/// Where the ramp of `b` crosses latency `x`, as a request index in
+/// [0, count]: the starting guess for first_true.
+int crossing_guess(const BatchBreakdown& b, double x) noexcept {
+  const double span = b.best_latency - b.worst_latency;
+  if (b.count == 1 || span == 0.0) return 0;
+  const double t = std::ceil((x - b.worst_latency) / span *
+                             static_cast<double>(b.count - 1));
+  if (!(t > 0.0)) return 0;  // also NaN
+  return t >= b.count ? b.count : static_cast<int>(t);
+}
+
+/// Requests i of `b` with at(i) <= bound, where `at` is monotone along
+/// the ramp — non-increasing when it falls — so they are a suffix of it (a
+/// prefix if it rises). The search starts where the ramp crosses latency
+/// `x`, near which the boundary lies.
+template <typename At, typename T>
+int count_at_most(const BatchBreakdown& b, const At& at, T bound, double x) {
+  const int guess = crossing_guess(b, x);
+  if (falling(b)) {
+    return b.count -
+           first_true(b.count, guess, [&](int i) { return at(i) <= bound; });
+  }
+  return first_true(b.count, guess, [&](int i) { return at(i) > bound; });
+}
+
+/// Requests of `b` whose latency is within its SLO (the 1e-9 s slack
+/// absorbs timestamp rounding).
+int compliant_requests(const BatchBreakdown& b) {
+  const double bound = b.slo + 1e-9;
+  return count_at_most(
+      b,
+      [&b](int i) {
+        return workload::ramp_latency(b.worst_latency, b.best_latency, i,
+                                      b.count);
+      },
+      bound, bound);
+}
+
+/// Order-preserving map of a float onto uint32: a < b iff key(a) < key(b)
+/// for non-NaN values.
+std::uint32_t order_key(float f) noexcept {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof u);
+  return (u & 0x80000000u) != 0 ? ~u : (u | 0x80000000u);
+}
+
+float from_order_key(std::uint32_t key) noexcept {
+  const std::uint32_t u =
+      (key & 0x80000000u) != 0 ? (key & 0x7fffffffu) : ~key;
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+/// Requests of `b` whose sample's order key is below `bound` (which may be
+/// 2^32: all of them).
+int count_below(const BatchBreakdown& b, std::uint64_t bound) {
+  if (bound > 0xffffffffu) return b.count;
+  if (bound == 0) return 0;
+  const auto key = static_cast<std::uint32_t>(bound);
+  return count_at_most(
+      b, [&b](int i) { return order_key(sample_at(b, i)); }, key - 1,
+      static_cast<double>(from_order_key(key)));
+}
+
+/// Histogram of one radix-select pass: keys sharing the digits fixed so
+/// far (`prefix`, the key bits above `shift + digit_bits`) are counted by
+/// their next digit. Slot 0 stands for keys below the prefix and the last
+/// slot for keys above it, so a key's slot is monotone in the key; those
+/// two slots are never read.
+class DigitHistogram {
+ public:
+  DigitHistogram(std::uint32_t prefix, int shift, int digit_bits)
+      : prefix_(prefix),
+        shift_(shift),
+        digit_bits_(digit_bits),
+        counts_((std::size_t{1} << digit_bits) + 2, 0) {}
+
+  /// Adds the requests of one ramp inside the prefix: O(1) when the ramp
+  /// lies in one slot, else a boundary search per slot boundary its
+  /// requests span (or one evaluation per request, when that is cheaper).
+  /// Keys outside the prefix are not counted.
+  void add(const BatchBreakdown& b) {
+    const auto key_at = [&b](int i) { return order_key(sample_at(b, i)); };
+    // The ramp's fraction is exactly 0 at the first request and exactly 1
+    // at the last, so its end values need no division.
+    const double first = b.worst_latency;
+    const double last =
+        b.count == 1 ? first : first + (b.best_latency - first);
+    const int s_first = slot_of(order_key(static_cast<float>(first)));
+    const int s_last = slot_of(order_key(static_cast<float>(last)));
+    if (s_first == s_last) {
+      counts_[static_cast<std::size_t>(s_first)] +=
+          static_cast<std::uint64_t>(b.count);
+      return;
+    }
+    // Requests below the prefix, and below its end; the ones in between
+    // are a contiguous index run because the keys are monotone in i.
+    const int top = 1 << digit_bits_;
+    const bool below_prefix = std::min(s_first, s_last) == 0;
+    const bool above_prefix = std::max(s_first, s_last) == top + 1;
+    const int below = below_prefix ? count_below(b, slot_start(1)) : 0;
+    const int end = above_prefix ? count_below(b, slot_start(top + 1))
+                                 : b.count;
+    const int inside = end - below;
+    if (inside == 0) return;
+    const int i0 = falling(b) ? b.count - end : below;
+    const int s_a = slot_of(key_at(i0));
+    const int s_b = slot_of(key_at(i0 + inside - 1));
+    const int s_lo = std::min(s_a, s_b);
+    const int s_hi = std::max(s_a, s_b);
+    if (inside <= 2 * (s_hi - s_lo)) {
+      for (int i = i0; i < i0 + inside; ++i) {
+        ++counts_[static_cast<std::size_t>(slot_of(key_at(i)))];
+      }
+      return;
+    }
+    int prev = below;  // requests with keys below slot j
+    for (int j = s_lo; j < s_hi; ++j) {
+      const int upto = count_below(b, slot_start(j + 1));
+      counts_[static_cast<std::size_t>(j)] +=
+          static_cast<std::uint64_t>(upto - prev);
+      prev = upto;
+    }
+    counts_[static_cast<std::size_t>(s_hi)] +=
+        static_cast<std::uint64_t>(end - prev);
+  }
+
+  /// Every request counted (all that were added, in the first pass, whose
+  /// prefix is empty).
+  std::uint64_t total() const noexcept {
+    std::uint64_t n = 0;
+    for (const std::uint64_t c : counts_) n += c;
+    return n;
+  }
+
+  /// Resolves the next digit of the rank-`k` key (k counts within this
+  /// pass's prefix) and returns k's rank within that digit.
+  std::uint64_t resolve(std::uint64_t k, std::uint32_t& prefix) const {
+    std::uint32_t digit = 0;
+    while (digit + 1 < (1u << digit_bits_) && k >= counts_[digit + 1]) {
+      k -= counts_[digit + 1];
+      ++digit;
+    }
+    prefix = (prefix << digit_bits_) | digit;
+    return k;
+  }
+
+ private:
+  int slot_of(std::uint32_t key) const noexcept {
+    const std::uint64_t high =
+        static_cast<std::uint64_t>(key) >> (shift_ + digit_bits_);
+    if (high < prefix_) return 0;
+    if (high > prefix_) return (1 << digit_bits_) + 1;
+    return static_cast<int>((key >> shift_) & ((1u << digit_bits_) - 1)) + 1;
+  }
+
+  /// Smallest key of slot j >= 1 (2^32 past the top of the key space).
+  std::uint64_t slot_start(int j) const noexcept {
+    return (prefix_ << (shift_ + digit_bits_)) +
+           (static_cast<std::uint64_t>(j - 1) << shift_);
+  }
+
+  std::uint64_t prefix_;
+  int shift_;
+  int digit_bits_;
+  std::vector<std::uint64_t> counts_;
+};
+
+constexpr std::array<int, 4> kDigits = {12, 4, 8, 8};
+
+/// The lo-th and hi-th smallest (0-based, hi = lo or lo + 1) per-request
+/// float latencies over the records `keep` selects — the values
+/// nth_element would find in their expansion — by a most-significant-digit
+/// radix select over order_key bits. `first` is the histogram of the first
+/// digit. Each later pass fixes the next digit of both answers' keys from a
+/// histogram of the keys that share the digits fixed so far; the two ranks
+/// share one histogram until their prefixes part. At most two 32 KB
+/// histograms: no memory proportional to requests or records.
+template <typename Keep>
+std::pair<double, double> select_pair(
+    const std::vector<BatchBreakdown>& records, Keep keep,
+    const DigitHistogram& first, std::uint64_t lo, std::uint64_t hi) {
+  std::array<std::uint64_t, 2> rank = {lo, hi};
+  std::array<std::uint32_t, 2> prefix = {0, 0};
+  rank[0] = first.resolve(rank[0], prefix[0]);
+  rank[1] = first.resolve(rank[1], prefix[1]);
+  int shift = 32 - kDigits[0];
+  for (std::size_t pass = 1; pass < kDigits.size(); ++pass) {
+    const int bits = kDigits[pass];
+    shift -= bits;
+    DigitHistogram h0(prefix[0], shift, bits);
+    std::optional<DigitHistogram> h1;
+    if (prefix[1] != prefix[0]) h1.emplace(prefix[1], shift, bits);
+    for (const auto& b : records) {
+      if (!keep(b)) continue;
+      h0.add(b);
+      if (h1) h1->add(b);
+    }
+    rank[0] = h0.resolve(rank[0], prefix[0]);
+    rank[1] = (h1 ? *h1 : h0).resolve(rank[1], prefix[1]);
+  }
+  return {static_cast<double>(from_order_key(prefix[0])),
+          static_cast<double>(from_order_key(prefix[1]))};
+}
+
+/// percentile() over the expansion of the records `keep` selects, without
+/// expanding them.
+template <typename Keep>
+double ramp_percentile(const std::vector<BatchBreakdown>& records, Keep keep,
+                       double p) {
+  DigitHistogram first(0, 32 - kDigits[0], kDigits[0]);
+  for (const auto& b : records) {
+    if (keep(b)) first.add(b);
+  }
+  return percentile_of_ranks(
+      static_cast<std::size_t>(first.total()), p,
+      [&](std::size_t lo, std::size_t hi) {
+        return select_pair(records, keep, first, lo, hi);
+      });
+}
+
+template <typename Keep>
+std::uint64_t requests_of(const std::vector<BatchBreakdown>& records,
+                          Keep keep) {
+  std::uint64_t n = 0;
+  for (const auto& b : records) {
+    if (keep(b)) n += static_cast<std::uint64_t>(b.count);
+  }
+  return n;
+}
+
+/// Calls fn(latency) for every request of the records `keep` selects, in
+/// record order, as the float the samples hold.
+template <typename Keep, typename Fn>
+void for_each_sample(const std::vector<BatchBreakdown>& records, Keep keep,
+                     Fn fn) {
+  for (const auto& b : records) {
+    if (!keep(b)) continue;
+    for (int i = 0; i < b.count; ++i) fn(sample_at(b, i));
+  }
+}
+
+template <typename Keep>
+std::vector<float> expand(const std::vector<BatchBreakdown>& records,
+                          Keep keep) {
+  std::vector<float> out;
+  out.reserve(static_cast<std::size_t>(requests_of(records, keep)));
+  for_each_sample(records, keep, [&out](float lat) { out.push_back(lat); });
+  return out;
+}
+
+[[maybe_unused]] bool same_bits(double a, double b) noexcept {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+struct OfClass {
+  bool strict;
+  bool operator()(const BatchBreakdown& b) const noexcept {
+    return b.strict == strict;
+  }
+};
+
+}  // namespace
+
 void Collector::use_sketch_store(double alpha) {
-  PROTEAN_CHECK_MSG(strict_lat_.empty() && be_lat_.empty(),
+  PROTEAN_CHECK_MSG(batches_.empty(),
                     "use_sketch_store must precede the first record()");
   strict_sketch_.emplace(alpha);
   be_sketch_.emplace(alpha);
 }
 
 std::size_t Collector::latency_store_bytes() const noexcept {
+  std::size_t bytes = batches_.capacity() * sizeof(BatchBreakdown);
   if (strict_sketch_) {
-    return strict_sketch_->approx_bytes() + be_sketch_->approx_bytes();
+    bytes += strict_sketch_->approx_bytes() + be_sketch_->approx_bytes();
   }
-  return (strict_lat_.capacity() + be_lat_.capacity()) * sizeof(float);
+  return bytes;
 }
 
 Breakdown breakdown_of(const workload::Decomposition& d) noexcept {
@@ -72,26 +379,17 @@ void Collector::record_terminal(const BatchBreakdown& entry) {
   const double lat_first = entry.worst_latency;
   const double lat_last = entry.best_latency;
   PROTEAN_DCHECK(lat_first >= lat_last - 1e-9);
-  auto& sketch = strict ? strict_sketch_ : be_sketch_;
-  auto& sink = strict ? strict_lat_ : be_lat_;
-  for (int i = 0; i < count; ++i) {
-    // Requests are spread uniformly over [first_arrival, last_arrival];
-    // request 0 is the earliest, i.e. the longest-waiting.
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
-    if (sketch) {
-      sketch->add(lat);
-    } else {
-      sink.push_back(static_cast<float>(lat));
+  if (auto& sketch = strict ? strict_sketch_ : be_sketch_) {
+    for (int i = 0; i < count; ++i) {
+      sketch->add(workload::ramp_latency(lat_first, lat_last, i, count));
     }
-    if (strict) {
-      ++strict_total_;
-      if (lat <= entry.slo + 1e-9) ++strict_compliant_;
-    } else {
-      ++be_total_;
-    }
+  }
+  if (strict) {
+    strict_total_ += static_cast<std::uint64_t>(count);
+    strict_compliant_ +=
+        static_cast<std::uint64_t>(compliant_requests(entry));
+  } else {
+    be_total_ += static_cast<std::uint64_t>(count);
   }
   if (observer_) {
     observer_(entry.completed_at, strict, lat_first, lat_last, count,
@@ -176,6 +474,41 @@ Breakdown tail_over(const std::vector<BatchBreakdown>& records, double p,
 }
 }  // namespace
 
+double Collector::strict_percentile(double p) const {
+  if (strict_sketch_) return strict_sketch_->percentile(p);
+  const double v = ramp_percentile(batches_, OfClass{true}, p);
+  PROTEAN_DCHECK(same_bits(v, percentile(strict_latencies(), p)));
+  return v;
+}
+
+double Collector::be_percentile(double p) const {
+  if (be_sketch_) return be_sketch_->percentile(p);
+  const double v = ramp_percentile(batches_, OfClass{false}, p);
+  PROTEAN_DCHECK(same_bits(v, percentile(be_latencies(), p)));
+  return v;
+}
+
+double Collector::strict_mean() const {
+  if (strict_sketch_) return strict_sketch_->mean();
+  double sum = 0.0;
+  std::uint64_t n = 0;
+  for_each_sample(batches_, OfClass{true}, [&](float lat) {
+    sum += static_cast<double>(lat);
+    ++n;
+  });
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+std::vector<float> Collector::strict_latencies() const {
+  if (strict_sketch_) return {};
+  return expand(batches_, OfClass{true});
+}
+
+std::vector<float> Collector::be_latencies() const {
+  if (be_sketch_) return {};
+  return expand(batches_, OfClass{false});
+}
+
 Breakdown Collector::tail_breakdown(double p) const {
   return tail_over(batches_, p,
                    [](const BatchBreakdown& b) { return b.strict; });
@@ -183,18 +516,9 @@ Breakdown Collector::tail_breakdown(double p) const {
 
 std::vector<float> Collector::latencies_for(
     const workload::ModelProfile* model, bool strict) const {
-  std::vector<float> out;
-  for (const auto& b : batches_) {
-    if (b.model != model || b.strict != strict) continue;
-    for (int i = 0; i < b.count; ++i) {
-      const double frac =
-          b.count == 1 ? 0.0
-                       : static_cast<double>(i) / static_cast<double>(b.count - 1);
-      out.push_back(static_cast<float>(
-          b.worst_latency + (b.best_latency - b.worst_latency) * frac));
-    }
-  }
-  return out;
+  return expand(batches_, [model, strict](const BatchBreakdown& b) {
+    return b.model == model && b.strict == strict;
+  });
 }
 
 double Collector::slo_compliance_pct_for(
@@ -202,15 +526,8 @@ double Collector::slo_compliance_pct_for(
   std::uint64_t total = 0, compliant = 0;
   for (const auto& b : batches_) {
     if (b.model != model || !b.strict) continue;
-    for (int i = 0; i < b.count; ++i) {
-      const double frac =
-          b.count == 1 ? 0.0
-                       : static_cast<double>(i) / static_cast<double>(b.count - 1);
-      const double lat =
-          b.worst_latency + (b.best_latency - b.worst_latency) * frac;
-      ++total;
-      if (lat <= b.slo + 1e-9) ++compliant;
-    }
+    total += static_cast<std::uint64_t>(b.count);
+    compliant += static_cast<std::uint64_t>(compliant_requests(b));
   }
   if (total == 0) return 100.0;
   return 100.0 * static_cast<double>(compliant) / static_cast<double>(total);

@@ -1,11 +1,14 @@
 // Metrics collection for experiment runs.
 //
-// The collector receives every completed Batch, expands it into per-request
-// end-to-end latencies (arrivals interpolated uniformly across the batch's
-// arrival span), tracks SLO compliance for strict requests, and keeps
-// per-batch latency breakdowns so that Fig. 2/6-style stacked-bar rows can
-// be reconstructed (queueing vs cold start vs resource deficiency vs
-// interference vs minimum possible time). It decomposes each record once
+// The collector receives every completed Batch and keeps one record per
+// batch (BatchBreakdown): its worst and best request latency, request
+// count, SLO and Fig. 2/6 breakdown. Per-request latencies are the linear
+// ramp between a record's worst and best latency (workload::ramp_latency,
+// arrivals interpolated uniformly across the batch's arrival span), so the
+// records alone answer every per-request statistic exactly — percentiles by
+// selecting order statistics across the ramps, means and CDF samples by
+// expanding ramps on demand — and no per-request store is kept. SLO
+// compliance is counted at record time. It decomposes each record once
 // (workload::decompose), checks every lane, and derives the breakdown and
 // the attribution feed from that one split.
 #pragma once
@@ -88,15 +91,15 @@ class Collector {
 
   /// Batch completion observer: invoked once per recorded batch with
   /// (completion time, strict?, worst latency, best latency, request
-  /// count, SLO seconds). Per-request latencies are the linear ramp
-  /// `lat_first + (lat_last - lat_first) * i / (count - 1)` — the same
-  /// spread the collector's own statistics use — so a consumer can expand
-  /// them bit-identically (telemetry::TelemetryPipeline::observe_batch
-  /// does). Batches arrive in non-decreasing completion-time order;
-  /// batches filtered by measure_from never reach the observer. Null
+  /// count, SLO seconds). Per-request latencies are
+  /// workload::ramp_latency(worst, best, i, count) — the same spread the
+  /// collector's own statistics use — so a consumer can expand them
+  /// bit-identically (telemetry::TelemetryPipeline::observe_batch does).
+  /// Batches arrive in non-decreasing completion-time order; batches
+  /// filtered by measure_from never reach the observer. Null
   /// (the default) costs nothing — this is the live-telemetry feed
   /// (src/telemetry), kept out of the collector's own statistics and
-  /// deliberately per-batch so the per-request hot loop stays tight.
+  /// deliberately per-batch so recording never loops per request.
   using BatchObserver =
       std::function<void(SimTime, bool, double, double, int, double)>;
   void set_batch_observer(BatchObserver observer) {
@@ -123,19 +126,19 @@ class Collector {
     attr_drop_hook_ = std::move(hook);
   }
 
-  /// Switches the latency store from per-request float vectors to
-  /// relative-error quantile sketches (DDSketch-style, see
-  /// metrics/sketch.h): percentiles then carry an `alpha` relative-error
-  /// bound instead of being exact, `strict_latencies()`/`be_latencies()`
-  /// stay empty, and memory no longer grows O(requests). SLO-compliance
-  /// counting is unaffected — it never reads the store. Must be called
-  /// before the first record().
+  /// Answers percentiles and the strict mean from relative-error quantile
+  /// sketches (DDSketch-style, see metrics/sketch.h) instead of the batch
+  /// records: percentiles then carry an `alpha` relative-error bound
+  /// instead of being exact, and `strict_latencies()`/`be_latencies()`
+  /// stay empty. The sketches are fed per request on top of the records,
+  /// so this saves no memory. SLO-compliance counting is unaffected. Must
+  /// be called before the first record().
   void use_sketch_store(double alpha);
   bool sketch_store() const noexcept { return strict_sketch_.has_value(); }
 
-  /// Approximate heap footprint of the latency store (bytes): vector
-  /// capacities, or sketch buckets in sketch mode. The telemetry overhead
-  /// bench compares the two.
+  /// Approximate heap footprint of what the latency statistics are
+  /// answered from (bytes): the batch records' capacity, plus the sketch
+  /// buckets in sketch mode. It grows with batches, not requests.
   std::size_t latency_store_bytes() const noexcept;
 
   /// Records a completed batch. The batch must have completed_at set.
@@ -156,13 +159,13 @@ class Collector {
 
   /// Per-stage path: decomposes and lane-checks one completed stage batch
   /// and returns the split (the runtime sums it along the critical chain).
-  /// Never touches the latency store, SLO counters, observer, or batch
-  /// records, so workflow statistics cannot double-count a request.
+  /// Never touches the latency statistics, SLO counters, observer, or
+  /// batch records, so workflow statistics cannot double-count a request.
   workload::Decomposition record_stage(const workload::Batch& batch);
 
   /// Per-request (terminal) path: one end-to-end flow. Claims the flow id
   /// (a retried/raced duplicate is discarded under dedup), applies the
-  /// measure_from filter, expands the same per-request latency ramp as
+  /// measure_from filter, records the same per-request latency ramp as
   /// record(), and counts SLO compliance against the flow's end-to-end
   /// deadline. The batch-records entry is breakdown_of(flow.chain), whose
   /// lanes record_stage() already checked. Returns true iff the flow
@@ -235,25 +238,21 @@ class Collector {
   }
 
   /// Latency percentile in seconds over strict (or BE) request latencies.
-  /// Exact over the sample vectors; within the configured relative-error
-  /// bound in sketch mode.
-  double strict_percentile(double p) const {
-    return strict_sketch_ ? strict_sketch_->percentile(p)
-                          : percentile(strict_lat_, p);
-  }
-  double be_percentile(double p) const {
-    return be_sketch_ ? be_sketch_->percentile(p) : percentile(be_lat_, p);
-  }
-  double strict_mean() const {
-    return strict_sketch_ ? strict_sketch_->mean() : mean_f(strict_lat_);
-  }
+  /// Bit-identical to percentile() over strict_latencies() (be_latencies()),
+  /// found by selecting order statistics across the batch ramps without
+  /// expanding them; within the configured relative-error bound in sketch
+  /// mode.
+  double strict_percentile(double p) const;
+  double be_percentile(double p) const;
+  /// Mean strict latency in seconds, bit-identical to mean_f() over
+  /// strict_latencies().
+  double strict_mean() const;
 
-  /// Full latency samples (seconds), for CDFs and significance tests.
-  /// Empty in sketch mode (per-request samples are not retained).
-  const std::vector<float>& strict_latencies() const noexcept {
-    return strict_lat_;
-  }
-  const std::vector<float>& be_latencies() const noexcept { return be_lat_; }
+  /// Per-request latency samples (seconds, as float, in record order), for
+  /// CDFs and significance tests. Expanded from the batch records on every
+  /// call — nothing is cached. Empty in sketch mode.
+  std::vector<float> strict_latencies() const;
+  std::vector<float> be_latencies() const;
 
   /// Average breakdown over strict batches whose worst latency is at or
   /// above the given percentile of strict batch latencies (the Fig. 6 tail
@@ -279,16 +278,14 @@ class Collector {
                                double p) const;
 
  private:
-  /// Shared terminal path of record()/record_flow(): expands the linear
-  /// latency ramp from worst to best latency into the store and the SLO
-  /// counters, feeds the batch observer, and keeps the entry.
+  /// Shared terminal path of record()/record_flow(): counts the entry's
+  /// requests and SLO compliance, feeds the sketches (sketch mode) and the
+  /// batch observer, and keeps the entry.
   void record_terminal(const BatchBreakdown& entry);
 
   /// The one lane check: every lane of `d` must be >= -kLaneEps.
   void check_lanes(const workload::Decomposition& d);
 
-  std::vector<float> strict_lat_;
-  std::vector<float> be_lat_;
   std::optional<QuantileSketch> strict_sketch_;
   std::optional<QuantileSketch> be_sketch_;
   BatchObserver observer_;

@@ -11,7 +11,7 @@
 //
 // The sketch is deterministic: buckets live in an ordered map, merges and
 // queries iterate in key order, and no randomness is consumed. It backs
-// the opt-in sketch latency store of metrics::Collector and the rolling
+// the opt-in approximate percentiles of metrics::Collector and the rolling
 // per-window quantiles of src/telemetry.
 #pragma once
 
@@ -55,8 +55,7 @@ class QuantileSketch {
 
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
-  /// Rough heap footprint of the bucket store, for memory comparisons
-  /// against the O(requests) float-vector latency store.
+  /// Rough heap footprint of the bucket store, for memory comparisons.
   std::size_t approx_bytes() const noexcept;
 
   void clear();

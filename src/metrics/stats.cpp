@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace protean::metrics {
 
@@ -30,19 +31,16 @@ double stddev(const std::vector<double>& xs) noexcept {
 namespace {
 template <typename T>
 double percentile_impl(std::vector<T> xs, double p) noexcept {
-  if (xs.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, xs.size() - 1);
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(lo),
-                   xs.end());
-  const double v_lo = static_cast<double>(xs[lo]);
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(hi),
-                   xs.end());
-  const double v_hi = static_cast<double>(xs[hi]);
-  const double frac = rank - static_cast<double>(lo);
-  return v_lo + (v_hi - v_lo) * frac;
+  const auto kth = [&xs](std::size_t k) {
+    std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(k),
+                     xs.end());
+    return static_cast<double>(xs[k]);
+  };
+  return percentile_of_ranks(xs.size(), p,
+                             [&kth](std::size_t lo, std::size_t hi) {
+                               const double v_lo = kth(lo);
+                               return std::pair<double, double>(v_lo, kth(hi));
+                             });
 }
 }  // namespace
 

@@ -3,6 +3,7 @@
 // statistical-significance bench (Section 7 of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -19,6 +20,22 @@ double stddev(const std::vector<double>& xs) noexcept;
 /// ranks. The input is copied and partially sorted. 0 for an empty sample.
 double percentile(std::vector<float> xs, double p) noexcept;
 double percentile(std::vector<double> xs, double p) noexcept;
+
+/// The interpolation percentile() applies, over `n` samples:
+/// `select(lo, hi)` returns the lo-th and hi-th smallest (0-based; hi is lo
+/// or lo + 1) as a pair of doubles. Callers that select order statistics
+/// some other way share the exact arithmetic.
+template <typename SelectPair>
+double percentile_of_ranks(std::size_t n, double p, SelectPair select) {
+  if (n == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, n - 1);
+  const auto [v_lo, v_hi] = select(lo, hi);
+  const double frac = rank - static_cast<double>(lo);
+  return v_lo + (v_hi - v_lo) * frac;
+}
 
 /// Half-width of the 95% confidence interval of the mean (normal approx).
 double ci95_halfwidth(const std::vector<double>& xs) noexcept;

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "obs/trace.h"
+#include "workload/latency.h"
 
 namespace protean::telemetry {
 namespace {
@@ -128,21 +129,16 @@ void TelemetryPipeline::observe_batch(SimTime when, bool strict,
   if (count <= 0) return;
   if (!strict) {
     for (int i = 0; i < count; ++i) {
-      const double frac =
-          count == 1 ? 0.0
-                     : static_cast<double>(i) / static_cast<double>(count - 1);
-      be_latency_->observe(lat_first + (lat_last - lat_first) * frac);
+      be_latency_->observe(
+          workload::ramp_latency(lat_first, lat_last, i, count));
     }
     return;
   }
-  // Same ramp (bit-identical expression) as Collector::record, so the
-  // summaries and compliance counts agree exactly with the collector's.
+  // Same ramp as the collector's, so the summaries and compliance counts
+  // agree exactly with its statistics.
   std::uint64_t ok = 0;
   for (int i = 0; i < count; ++i) {
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
+    const double lat = workload::ramp_latency(lat_first, lat_last, i, count);
     strict_latency_->observe(lat);
     if (lat <= slo + 1e-9) ++ok;
   }

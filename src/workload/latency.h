@@ -81,6 +81,22 @@ struct Decomposition {
   }
 };
 
+/// End-to-end latency of request `i` of a `count`-request batch (or flow)
+/// whose requests arrived uniformly over its arrival span: the linear ramp
+/// from the earliest request's `lat_first` (i = 0) to the latest's
+/// `lat_last` (i = count - 1). Every per-request view — the collector's
+/// statistics, live telemetry, attribution — evaluates this one expression,
+/// so they agree bit for bit. Rounding preserves order, so the ramp (and
+/// its float cast) is monotone in `i`: non-increasing when
+/// `lat_last <= lat_first`, the normal case.
+inline double ramp_latency(double lat_first, double lat_last, int i,
+                           int count) noexcept {
+  const double frac =
+      count == 1 ? 0.0
+                 : static_cast<double>(i) / static_cast<double>(count - 1);
+  return lat_first + (lat_last - lat_first) * frac;
+}
+
 /// Splits a completed batch's accounting span into lanes. Pure; the only
 /// function that reads Batch timestamps into latency components.
 inline Decomposition decompose(const Batch& batch) noexcept {

@@ -1,7 +1,7 @@
 // Tests for the DDSketch-style quantile sketch and the sketch-backed
-// Collector latency store: relative-error bounds against exact order
-// statistics, merge semantics, and end-to-end agreement with the
-// vector-backed store across every scheduling scheme.
+// Collector percentiles: relative-error bounds against exact order
+// statistics, merge semantics, and end-to-end agreement with the exact
+// Collector across every scheduling scheme.
 #include "metrics/sketch.h"
 
 #include <gtest/gtest.h>
@@ -174,13 +174,13 @@ TEST(QuantileSketch, RejectsInvalidAlpha) {
   EXPECT_THROW(QuantileSketch(0.6), std::logic_error);
 }
 
-// ---- sketch-backed Collector vs vector-backed Collector ------------------
+// ---- sketch-backed Collector vs exact Collector --------------------------
 
-// Every scheme, same config twice: once with the exact per-request vector
-// store and once with the sketch store. Reported percentiles must agree
+// Every scheme, same config twice: once with exact percentiles and once
+// with the sketch store. Reported percentiles must agree
 // within the sketch's relative-error bound (plus a small absolute slack
 // for rank interpolation between adjacent order statistics), and the
-// SLO-compliance accounting — which never reads the latency store — must
+// SLO-compliance accounting — which never reads the sketches — must
 // be bit-identical.
 TEST(SketchCollector, MatchesExactStoreAcrossAllSchemes) {
   const double alpha = 0.01;

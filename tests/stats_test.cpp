@@ -1,6 +1,10 @@
 // Tests for the statistics toolkit and metrics collector.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <random>
+
 #include "metrics/collector.h"
 #include "metrics/stats.h"
 #include "workload/model.h"
@@ -221,6 +225,127 @@ TEST(Collector, ColdStartCounter) {
   collector.record_cold_start();
   collector.record_cold_start();
   EXPECT_EQ(collector.cold_starts(), 2u);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+// Percentiles are selected across the batch ramps without expanding them;
+// they must equal percentile() over the expanded samples bit for bit, as
+// must the mean and the compliance counts against a per-request loop.
+TEST(Collector, RampSelectionMatchesExpandedSamples) {
+  const auto& catalog = workload::ModelCatalog::instance();
+  const workload::ModelProfile* models[2] = {&catalog.by_name("ResNet 50"),
+                                             &catalog.by_name("VGG 19")};
+  std::mt19937_64 rng(20241);
+  for (int trial = 0; trial < 300; ++trial) {
+    Collector collector;
+    std::uint64_t strict_total = 0, strict_ok = 0;
+    std::uint64_t model0_total = 0, model0_ok = 0;
+    // Some trials leave a class empty.
+    const int mode = trial % 5;  // 0: both, 1: strict only, 2: BE only
+    const int records = static_cast<int>(rng() % 40);
+    for (int r = 0; r < records; ++r) {
+      FlowRecord flow;
+      flow.id = static_cast<BatchId>(r);
+      flow.strict = mode == 1 ? true : mode == 2 ? false : (rng() % 2) == 0;
+      flow.model = models[rng() % 2];
+      switch (rng() % 4) {
+        case 0: flow.count = 1; break;
+        case 1: flow.count = 2 + static_cast<int>(rng() % 3); break;
+        case 2: flow.count = 1 + static_cast<int>(rng() % 128); break;
+        default: flow.count = 1 + static_cast<int>(rng() % 2000); break;
+      }
+      // Millisecond-grid endpoints make values repeat across ramps; wide
+      // ramps (up to several seconds) span many float exponents.
+      double worst = 0.001 * static_cast<double>(1 + rng() % 3000);
+      double best = worst;
+      switch (rng() % 4) {
+        case 0: break;  // worst == best: one repeated value
+        case 1: best = worst - 0.001 * static_cast<double>(rng() % 20); break;
+        case 2: best = 0.001 * static_cast<double>(rng() % 3000); break;
+        default: best = worst + 5e-10; break;  // rising within tolerance
+      }
+      if (best > worst + 1e-9) std::swap(best, worst);
+      flow.completed_at = 100.0;
+      flow.first_arrival = flow.completed_at - worst;
+      flow.last_arrival = flow.completed_at - best;
+      // SLOs sometimes sit exactly on a request's latency.
+      const double lat_first = flow.completed_at - flow.first_arrival;
+      const double lat_last = flow.completed_at - flow.last_arrival;
+      flow.slo = (rng() % 2) == 0
+                     ? workload::ramp_latency(
+                           lat_first, lat_last,
+                           static_cast<int>(rng() % static_cast<unsigned>(
+                                                         flow.count)),
+                           flow.count)
+                     : 0.001 * static_cast<double>(rng() % 3000);
+      const int copies = (rng() % 8) == 0 ? 2 : 1;  // identical records
+      for (int c = 0; c < copies; ++c) {
+        ASSERT_TRUE(collector.record_flow(flow));
+        if (!flow.strict) continue;
+        for (int i = 0; i < flow.count; ++i) {
+          const bool ok = workload::ramp_latency(lat_first, lat_last, i,
+                                                 flow.count) <= flow.slo + 1e-9;
+          ++strict_total;
+          strict_ok += ok ? 1 : 0;
+          if (flow.model == models[0]) {
+            ++model0_total;
+            model0_ok += ok ? 1 : 0;
+          }
+        }
+      }
+    }
+    const std::vector<float> strict = collector.strict_latencies();
+    const std::vector<float> be = collector.be_latencies();
+    ASSERT_EQ(strict.size(), strict_total);
+    ASSERT_EQ(strict.size(), collector.strict_completed());
+    ASSERT_EQ(be.size(), collector.be_completed());
+    const double random_p = std::uniform_real_distribution<>(0, 100)(rng);
+    for (const double p : {0.0, 50.0, 99.0, 100.0, random_p}) {
+      EXPECT_EQ(bits_of(collector.strict_percentile(p)),
+                bits_of(percentile(strict, p)))
+          << "trial " << trial << " p" << p;
+      EXPECT_EQ(bits_of(collector.be_percentile(p)), bits_of(percentile(be, p)))
+          << "trial " << trial << " p" << p;
+    }
+    EXPECT_EQ(bits_of(collector.strict_mean()), bits_of(mean_f(strict)))
+        << "trial " << trial;
+    EXPECT_EQ(collector.strict_violations(), strict_total - strict_ok)
+        << "trial " << trial;
+    const double want_pct =
+        model0_total == 0 ? 100.0
+                          : 100.0 * static_cast<double>(model0_ok) /
+                                static_cast<double>(model0_total);
+    EXPECT_EQ(bits_of(collector.slo_compliance_pct_for(models[0])),
+              bits_of(want_pct))
+        << "trial " << trial;
+    EXPECT_EQ(collector.latencies_for(models[0], true).size(), model0_total);
+  }
+}
+
+// The latency statistics are answered from one record per batch, so the
+// memory they hold grows with batches, not requests (one float per request
+// would be 4 B).
+TEST(Collector, LatencyStoreHoldsNoPerRequestState) {
+  Collector collector;
+  constexpr int kRequests = 1'000'000;
+  constexpr int kBatch = 128;
+  int recorded = 0;
+  for (int b = 0; recorded < kRequests; ++b) {
+    const int count = std::min(kBatch, kRequests - recorded);
+    const double t = 0.01 * static_cast<double>(b);
+    collector.record(make_batch((b % 2) == 0, count, t, t + 0.5));
+    recorded += count;
+  }
+  ASSERT_EQ(collector.strict_completed() + collector.be_completed(),
+            static_cast<std::uint64_t>(kRequests));
+  const double bytes_per_request =
+      static_cast<double>(collector.latency_store_bytes()) / kRequests;
+  EXPECT_LT(bytes_per_request, 1.5);
 }
 
 }  // namespace
