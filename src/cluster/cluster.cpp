@@ -102,11 +102,14 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
   for (NodeId id = 0; id < slots; ++id) on_node_load_changed(id);
   // Shard s issues batch ids s+1, s+1+K, s+1+2K, ... — globally unique, and
   // the single-shard sequence 1, 2, 3, ... when K == 1.
+  formation_ =
+      std::make_unique<FormationClock>(sim_, config_.batch_flush_check);
   gateways_.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     gateways_.push_back(std::make_unique<Gateway>(
         sim_, config_, [this](workload::Batch&& b) { dispatch(std::move(b)); },
-        /*first_batch_id=*/s + 1, /*id_stride=*/shard_count));
+        /*first_batch_id=*/s + 1, /*id_stride=*/shard_count,
+        formation_.get()));
   }
   if (shard_count > 1) fanout_ = std::make_unique<ShardFanout>(gateways_);
   market_ = std::make_unique<spot::Market>(sim_, config_.market, slots, *this);

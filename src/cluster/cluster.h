@@ -203,6 +203,8 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   std::vector<Scheduler*> shard_schedulers_;
   metrics::Collector collector_;
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
+  /// The shard gateways' one sealing event; outlives the gateways.
+  std::unique_ptr<FormationClock> formation_;
   std::vector<std::unique_ptr<Gateway>> gateways_;
   std::unique_ptr<trace::RequestSink> fanout_;  // arrival splitter, shards > 1
   std::vector<ShardState> shards_;

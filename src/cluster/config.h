@@ -61,7 +61,8 @@ struct ClusterConfig {
   Duration batch_timeout = 0.300;        ///< cap
   Duration batch_timeout_floor = 0.050;  ///< floor
   double batch_wait_slo_fraction = 0.45;
-  /// Gateway flush-check cadence.
+  /// Grid on which the gateway checks hold timers: a partial batch seals
+  /// at the first tick where its oldest request has waited the timeout.
   Duration batch_flush_check = 0.005;
 
   /// Container boot + model load latency paid on a cold start.

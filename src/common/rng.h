@@ -60,6 +60,14 @@ class Rng {
     return std::poisson_distribution<std::int64_t>(mean)(engine_);
   }
 
+  /// Poisson parameters prepared once for a mean that repeats.
+  using PoissonParam = std::poisson_distribution<std::int64_t>::param_type;
+  /// The same draw as poisson(param.mean()), minus re-deriving the
+  /// distribution's constants (a fresh distribution still runs on them).
+  std::int64_t poisson(const PoissonParam& param) {
+    return std::poisson_distribution<std::int64_t>(param)(engine_);
+  }
+
   /// Normal variate.
   double normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);

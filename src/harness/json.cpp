@@ -268,12 +268,15 @@ Json report_to_json(const Report& report) {
     o.emplace_back("attribution", Json(std::move(a)));
   }
   if (!report.strict_latencies.empty()) {
+    const std::vector<double> ps = {10.0, 25.0, 50.0, 75.0,
+                                    90.0, 95.0, 99.0, 99.9};
+    const std::vector<double> values =
+        metrics::percentiles(report.strict_latencies, ps);
     Json::Object percentiles;
-    for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
+    for (std::size_t i = 0; i < ps.size(); ++i) {
       char key[16];
-      std::snprintf(key, sizeof(key), "p%g", p);
-      percentiles.emplace_back(
-          key, to_ms(metrics::percentile(report.strict_latencies, p)));
+      std::snprintf(key, sizeof(key), "p%g", ps[i]);
+      percentiles.emplace_back(key, to_ms(values[i]));
     }
     o.emplace_back("strict_latency_percentiles_ms", Json(std::move(percentiles)));
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/check.h"
+
 namespace protean::metrics {
 
 double mean(const std::vector<double>& xs) noexcept {
@@ -50,6 +52,33 @@ double percentile(std::vector<float> xs, double p) noexcept {
 
 double percentile(std::vector<double> xs, double p) noexcept {
   return percentile_impl(std::move(xs), p);
+}
+
+std::vector<double> percentiles(std::vector<float> xs,
+                                const std::vector<double>& ps) {
+  PROTEAN_CHECK_MSG(std::is_sorted(ps.begin(), ps.end()),
+                    "percentiles must be ascending");
+  // Everything before `from` is in its sorted place. Ranks only grow, so a
+  // rank below `from` was selected just before and is read back as is.
+  auto from = xs.begin();
+  const auto kth = [&](std::size_t k) {
+    const auto at = xs.begin() + static_cast<std::ptrdiff_t>(k);
+    if (at >= from) {
+      std::nth_element(from, at, xs.end());
+      from = at + 1;
+    }
+    return static_cast<double>(*at);
+  };
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (const double p : ps) {
+    out.push_back(percentile_of_ranks(
+        xs.size(), p, [&kth](std::size_t lo, std::size_t hi) {
+          const double v_lo = kth(lo);
+          return std::pair<double, double>(v_lo, kth(hi));
+        }));
+  }
+  return out;
 }
 
 double normal_cdf(double z) noexcept {

@@ -21,6 +21,12 @@ double stddev(const std::vector<double>& xs) noexcept;
 double percentile(std::vector<float> xs, double p) noexcept;
 double percentile(std::vector<double> xs, double p) noexcept;
 
+/// Several percentiles of one sample, in one copy of it: `ps` must be
+/// ascending. Each value is bit-identical to percentile(xs, p); the order
+/// statistics are selected in ascending rank on ever shorter tails.
+std::vector<double> percentiles(std::vector<float> xs,
+                                const std::vector<double>& ps);
+
 /// The interpolation percentile() applies, over `n` samples:
 /// `select(lo, hi)` returns the lo-th and hi-th smallest (0-based; hi is lo
 /// or lo + 1) as a pair of doubles. Callers that select order statistics

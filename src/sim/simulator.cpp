@@ -129,12 +129,13 @@ std::size_t Simulator::run_to_completion() {
 PeriodicTask::PeriodicTask(Simulator& simulator, Duration period,
                            std::function<void()> callback,
                            bool fire_immediately)
-    : sim_(simulator), period_(period), callback_(std::move(callback)) {
-  PROTEAN_CHECK_MSG(period_ > 0.0, "period must be positive");
+    : sim_(simulator),
+      callback_(std::move(callback)),
+      grid_(simulator.now(), period) {
+  PROTEAN_CHECK_MSG(period > 0.0, "period must be positive");
   PROTEAN_CHECK_MSG(static_cast<bool>(callback_), "null periodic callback");
-  next_ = sim_.now();
   if (fire_immediately) {
-    pending_ = sim_.schedule_at(next_, [this] { fire(); });
+    pending_ = sim_.schedule_at(sim_.now(), [this] { fire(); });
   } else {
     arm();
   }
@@ -142,11 +143,11 @@ PeriodicTask::PeriodicTask(Simulator& simulator, Duration period,
 
 void PeriodicTask::arm() {
   // Absolute phase: accumulate from the previous fire time. The FP sums are
-  // bit-identical to the historical schedule_after(period_)-from-the-callback
+  // bit-identical to the historical schedule_after(period)-from-the-callback
   // sequence (the clock reads the fire time when the callback runs), so fire
   // timestamps are unchanged — but a slow callback can no longer skew them.
-  next_ += period_;
-  pending_ = sim_.schedule_at(next_, [this] { fire(); });
+  pending_ = sim_.schedule_at(grid_.next(), [this] { fire(); });
+  grid_.advance();
 }
 
 void PeriodicTask::fire() {

@@ -117,6 +117,29 @@ class Simulator {
   std::uint64_t executed_ = 0;
 };
 
+/// The tick sequence every periodic activity fires on: start + period,
+/// start + 2·period, ..., accumulated one addition at a time (next += period)
+/// so the k-th tick is bit-identical to the k-th PeriodicTask fire. The
+/// workload driver's windows and the gateway's timeout checks walk the same
+/// grid without an event per tick; this is the one place the accumulation
+/// lives.
+class TickGrid {
+ public:
+  TickGrid() = default;
+  TickGrid(SimTime start, Duration period) : period_(period), next_(start) {
+    advance();
+  }
+
+  /// The next tick not yet passed.
+  SimTime next() const noexcept { return next_; }
+  Duration period() const noexcept { return period_; }
+  void advance() noexcept { next_ += period_; }
+
+ private:
+  Duration period_ = 0.0;
+  SimTime next_ = 0.0;
+};
+
 /// Repeatedly invokes a callback every `period` seconds until stopped.
 /// The callback observes the simulator clock; the first tick fires at
 /// `start + period` unless `fire_immediately` is set. Firing is pinned to
@@ -134,17 +157,16 @@ class PeriodicTask {
 
   void stop();
   bool running() const noexcept { return running_; }
-  Duration period() const noexcept { return period_; }
+  Duration period() const noexcept { return grid_.period(); }
 
  private:
   void arm();
   void fire();
 
   Simulator& sim_;
-  Duration period_;
   std::function<void()> callback_;
   EventHandle pending_;
-  SimTime next_ = 0.0;  // absolute phase of the next (or current) fire
+  TickGrid grid_;  // absolute phase of the next fire
   bool running_ = true;
 };
 

@@ -8,6 +8,12 @@
 
 namespace protean::trace {
 
+namespace {
+/// Windows drawn per driver event: one simulated second at the default
+/// 5 ms tick. Only the event count depends on it, never an arrival.
+constexpr int kChunkWindows = 200;
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(sim::Simulator& simulator,
                                const DriverConfig& config, RequestSink& sink)
     : sim_(simulator),
@@ -28,6 +34,8 @@ WorkloadDriver::WorkloadDriver(sim::Simulator& simulator,
   if (!be_pool_.empty()) be_index_ = rng_.index(be_pool_.size());
   next_rotation_ = config_.be_rotation_period;
 }
+
+WorkloadDriver::~WorkloadDriver() { sim_.cancel(next_chunk_); }
 
 const workload::ModelProfile& WorkloadDriver::current_be_model() const {
   if (!config_.be_schedule.empty()) {
@@ -55,8 +63,20 @@ std::vector<const workload::ModelProfile*> WorkloadDriver::be_models() const {
 
 void WorkloadDriver::start() {
   window_start_ = sim_.now();
-  task_ = std::make_unique<sim::PeriodicTask>(sim_, config_.tick,
-                                              [this] { tick(); });
+  grid_ = sim::TickGrid(window_start_, config_.tick);
+  next_chunk_ = sim_.schedule_at(window_start_, [this] { deliver_chunk(); });
+}
+
+void WorkloadDriver::deliver_chunk() {
+  next_chunk_ = sim::EventHandle();
+  for (int i = 0; i < kChunkWindows; ++i) {
+    if (window_start_ >= trace_.horizon()) return;  // the last chunk
+    const SimTime window_end = grid_.next();
+    grid_.advance();
+    deliver_window(window_start_, window_end);
+    window_start_ = window_end;
+  }
+  next_chunk_ = sim_.schedule_at(window_start_, [this] { deliver_chunk(); });
 }
 
 void WorkloadDriver::maybe_rotate_be_model(SimTime now) {
@@ -76,23 +96,20 @@ void WorkloadDriver::maybe_rotate_be_model(SimTime now) {
   }
 }
 
-void WorkloadDriver::tick() {
-  // Deliver the window [window_start, now] that just closed. Everything
-  // about the window (BE rotation, rate, Poisson draw, the count_from test)
-  // keys off its start, so the arrival process is the same as if it were
-  // drawn when the window opened; only its delivery waits for the close.
-  const SimTime window_start = window_start_;
-  const SimTime window_end = sim_.now();
-  window_start_ = window_end;
-  if (window_start >= trace_.horizon()) {
-    task_->stop();
-    return;
-  }
+void WorkloadDriver::deliver_window(SimTime window_start,
+                                    SimTime window_end) {
+  // Everything about the window (BE rotation, rate, Poisson draw, the
+  // count_from test) keys off its start and the draws run in window order,
+  // so the arrival process does not depend on when the window is drawn.
   maybe_rotate_be_model(window_start);
 
   const double rate = trace_.rate_at(window_start);
   const double expected = rate * config_.tick;
-  const auto total = static_cast<int>(rng_.poisson(expected));
+  if (expected <= 0.0) return;
+  // The trace rate holds for a second at a time, so consecutive windows
+  // share their Poisson parameters.
+  if (expected != poisson_.mean()) poisson_ = Rng::PoissonParam(expected);
+  const auto total = static_cast<int>(rng_.poisson(poisson_));
   if (total <= 0) return;
 
   // Deterministic strict/BE split with fractional carry: over any window the

@@ -11,6 +11,10 @@ namespace {
 using workload::Batch;
 using workload::ModelCatalog;
 
+// Windows are handed to the gateway before they close (the driver draws
+// ahead), so each test runs the simulator to the window's end before it
+// looks for a batch. Every sealed batch is checked for causality: nothing
+// is sealed before its last request arrives.
 struct Fixture {
   sim::Simulator sim;
   ClusterConfig config;
@@ -18,8 +22,11 @@ struct Fixture {
   std::unique_ptr<Gateway> gateway;
 
   Fixture() {
-    gateway = std::make_unique<Gateway>(
-        sim, config, [this](Batch&& b) { dispatched.push_back(std::move(b)); });
+    gateway = std::make_unique<Gateway>(sim, config, [this](Batch&& b) {
+      EXPECT_GE(b.formed_at, b.last_arrival) << "batch " << b.id;
+      EXPECT_DOUBLE_EQ(b.formed_at, sim.now());
+      dispatched.push_back(std::move(b));
+    });
   }
 };
 
@@ -33,7 +40,11 @@ const workload::ModelProfile& albert() {
 TEST(Gateway, SealsFullBatchImmediately) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 128, 0.0, 0.01);
+  f.sim.run_until(0.005);
+  EXPECT_TRUE(f.dispatched.empty());  // the window is still open
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 1u);
+  EXPECT_DOUBLE_EQ(f.dispatched[0].formed_at, 0.01);
   EXPECT_EQ(f.dispatched[0].count, 128);
   EXPECT_TRUE(f.dispatched[0].strict);
   EXPECT_EQ(f.dispatched[0].model, &resnet());
@@ -42,8 +53,10 @@ TEST(Gateway, SealsFullBatchImmediately) {
 TEST(Gateway, AccumulatesAcrossArrivalWindows) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 100, 0.0, 0.005);
+  f.sim.run_until(0.005);
   EXPECT_TRUE(f.dispatched.empty());
   f.gateway->on_arrivals(resnet(), true, 28, 0.005, 0.010);
+  f.sim.run_until(0.010);
   ASSERT_EQ(f.dispatched.size(), 1u);
   EXPECT_EQ(f.dispatched[0].count, 128);
 }
@@ -51,6 +64,7 @@ TEST(Gateway, AccumulatesAcrossArrivalWindows) {
 TEST(Gateway, OverflowRollsIntoNextBatch) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 300, 0.0, 0.01);
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 2u);
   EXPECT_EQ(f.dispatched[0].count, 128);
   EXPECT_EQ(f.dispatched[1].count, 128);
@@ -89,8 +103,10 @@ TEST(Gateway, StrictAndBeOfSameModelBatchSeparately) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 100, 0.0, 0.005);
   f.gateway->on_arrivals(resnet(), false, 100, 0.0, 0.005);
+  f.sim.run_until(0.005);
   EXPECT_TRUE(f.dispatched.empty());
   f.gateway->on_arrivals(resnet(), true, 28, 0.005, 0.01);
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 1u);
   EXPECT_TRUE(f.dispatched[0].strict);
 }
@@ -98,8 +114,10 @@ TEST(Gateway, StrictAndBeOfSameModelBatchSeparately) {
 TEST(Gateway, DifferentModelsBatchSeparately) {
   Fixture f;
   f.gateway->on_arrivals(albert(), true, 3, 0.0, 0.005);
+  f.sim.run_until(0.005);
   EXPECT_TRUE(f.dispatched.empty());
   f.gateway->on_arrivals(albert(), true, 1, 0.005, 0.01);
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 1u);
   EXPECT_EQ(f.dispatched[0].count, 4);
   EXPECT_EQ(f.dispatched[0].model, &albert());
@@ -109,6 +127,7 @@ TEST(Gateway, ArrivalSpanCoversConsumedGrains) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 64, 0.0, 0.005);
   f.gateway->on_arrivals(resnet(), true, 64, 0.010, 0.015);
+  f.sim.run_until(0.015);
   ASSERT_EQ(f.dispatched.size(), 1u);
   EXPECT_DOUBLE_EQ(f.dispatched[0].first_arrival, 0.0);
   EXPECT_GE(f.dispatched[0].last_arrival, 0.010);
@@ -118,6 +137,7 @@ TEST(Gateway, ArrivalSpanCoversConsumedGrains) {
 TEST(Gateway, PartialGrainInterpolatesLastArrival) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 256, 0.0, 0.010);
+  f.sim.run_until(0.010);
   ASSERT_EQ(f.dispatched.size(), 2u);
   // First batch consumes half the grain: last arrival ≈ 5 ms.
   EXPECT_NEAR(f.dispatched[0].last_arrival, 0.005, 1e-9);
@@ -130,6 +150,7 @@ TEST(Gateway, StrictBatchesCarrySlo) {
   f.config.slo_multiplier = 3.0;
   f.gateway->on_arrivals(resnet(), true, 128, 0.0, 0.01);
   f.gateway->on_arrivals(resnet(), false, 128, 0.0, 0.01);
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 2u);
   EXPECT_NEAR(f.dispatched[0].slo, 3.0 * resnet().solo_time_7g, 1e-9);
   EXPECT_EQ(f.dispatched[1].slo, kNeverTime);
@@ -139,6 +160,9 @@ TEST(Gateway, FlushAllDrainsEverything) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 5, 0.0, 0.005);
   f.gateway->on_arrivals(albert(), false, 2, 0.0, 0.005);
+  f.gateway->flush_all();  // both windows are still open: nothing to seal
+  EXPECT_TRUE(f.dispatched.empty());
+  f.sim.run_until(0.005);
   f.gateway->flush_all();
   EXPECT_EQ(f.dispatched.size(), 2u);
   EXPECT_EQ(f.gateway->partial_batches(), 2u);
@@ -148,6 +172,10 @@ TEST(Gateway, CountersTrackVolume) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 128, 0.0, 0.01);
   f.gateway->on_arrivals(resnet(), true, 5, 0.01, 0.02);
+  EXPECT_EQ(f.gateway->requests_seen(), 0u);  // no window has closed yet
+  f.sim.run_until(0.015);
+  EXPECT_EQ(f.gateway->requests_seen(), 128u);
+  f.sim.run_until(0.02);
   f.gateway->flush_all();
   EXPECT_EQ(f.gateway->requests_seen(), 133u);
   EXPECT_EQ(f.gateway->batches_formed(), 2u);
@@ -186,12 +214,12 @@ TEST(Gateway, SurgeNeverWaitsBehindFullBatch) {
     f.gateway->on_arrivals(resnet(), true, 156, 0.02, 0.025);
   });
   f.sim.run_until(0.05);  // well inside the ~263 ms ResNet hold window
-  // 100 + 156 = two full batches: both seal at the surge's arrival, with
-  // nothing held back to wait out the hold timer.
+  // 100 + 156 = two full batches: both seal as the surge's window closes,
+  // with nothing held back to wait out the hold timer.
   ASSERT_EQ(f.dispatched.size(), 2u);
   for (const auto& b : f.dispatched) {
     EXPECT_EQ(b.count, 128);
-    EXPECT_LE(b.formed_at, 0.02 + 1e-9);
+    EXPECT_LE(b.formed_at, 0.025 + 1e-9);
   }
   EXPECT_EQ(f.gateway->partial_batches(), 0u);
 }
@@ -222,9 +250,61 @@ TEST(Gateway, HorizonDrainCountsPartialBatches) {
 TEST(Gateway, BatchIdsAreUnique) {
   Fixture f;
   f.gateway->on_arrivals(resnet(), true, 384, 0.0, 0.01);
+  f.sim.run_until(0.01);
   ASSERT_EQ(f.dispatched.size(), 3u);
   EXPECT_NE(f.dispatched[0].id, f.dispatched[1].id);
   EXPECT_NE(f.dispatched[1].id, f.dispatched[2].id);
+}
+
+TEST(Gateway, ReadersSeeOnlyClosedWindows) {
+  // A window handed over ahead of time is invisible until it closes, and a
+  // window that already closed lands (and seals) at once.
+  Fixture f;
+  f.gateway->on_arrivals(resnet(), true, 10, 0.0, 0.005);
+  f.gateway->on_arrivals(resnet(), true, 20, 0.005, 0.010);
+  EXPECT_EQ(f.gateway->requests_seen(), 0u);
+  EXPECT_EQ(f.gateway->pending_requests(), 0u);
+  EXPECT_DOUBLE_EQ(f.gateway->oldest_pending_age(), 0.0);
+  f.sim.run_until(0.007);
+  EXPECT_EQ(f.gateway->requests_seen(), 10u);
+  EXPECT_EQ(f.gateway->pending_requests(), 10u);
+  EXPECT_DOUBLE_EQ(f.gateway->oldest_pending_age(), 0.007);
+  f.sim.run_until(0.012);
+  EXPECT_EQ(f.gateway->requests_seen(), 30u);
+  f.gateway->on_arrivals(resnet(), true, 98, 0.010, 0.012);  // late: closed
+  ASSERT_EQ(f.dispatched.size(), 1u);
+  EXPECT_EQ(f.dispatched[0].count, 128);
+  EXPECT_EQ(f.gateway->pending_requests(), 0u);
+}
+
+TEST(Gateway, FlushLeavesOpenWindowsOnTheirTimer) {
+  // The horizon drain seals what has arrived; a window still open at the
+  // horizon lands afterwards and waits out its hold time as usual.
+  Fixture f;
+  const Duration timeout = Gateway::timeout_for(resnet(), f.config);
+  f.gateway->on_arrivals(resnet(), true, 5, 0.0, 0.005);
+  f.gateway->on_arrivals(resnet(), true, 7, 0.005, 0.010);
+  f.sim.run_until(0.0075);  // the horizon, between two ticks
+  f.gateway->flush_all();
+  ASSERT_EQ(f.dispatched.size(), 1u);
+  EXPECT_EQ(f.dispatched[0].count, 5);
+  f.sim.run_until(1.0);
+  ASSERT_EQ(f.dispatched.size(), 2u);
+  EXPECT_EQ(f.dispatched[1].count, 7);
+  EXPECT_GE(f.dispatched[1].formed_at, 0.005 + timeout);
+  EXPECT_LE(f.dispatched[1].formed_at,
+            0.005 + timeout + f.config.batch_flush_check + 1e-9);
+}
+
+TEST(Gateway, DestructionCancelsThePendingEvent) {
+  sim::Simulator sim;
+  ClusterConfig config;
+  {
+    Gateway gateway(sim, config, [](Batch&&) {});
+    gateway.on_arrivals(resnet(), true, 5, 0.0, 0.005);
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 }  // namespace

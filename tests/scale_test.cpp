@@ -166,6 +166,10 @@ TEST(ShardedCluster, FanoutRotatesTheRemainderAcrossShards) {
     d.cluster->sink().on_arrivals(resnet, true, 4, 0.0, 0.01);
   }
   for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(d.cluster->gateway(s).requests_seen(), 0u) << "shard " << s;
+  }
+  d.sim.run_until(0.01);  // the window closes: every grain lands
+  for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(d.cluster->gateway(s).requests_seen(), 4u) << "shard " << s;
   }
 }
@@ -189,6 +193,7 @@ TEST(ShardedCluster, BatchIdsAreGloballyUniqueAcrossShards) {
     gateways.push_back(std::make_unique<cluster::Gateway>(
         sim, config,
         [&ids, s, stride](workload::Batch&& batch) {
+          EXPECT_GE(batch.formed_at, batch.last_arrival);
           ids.push_back(batch.id);
           // Shard s owns the congruence class s+1 (mod stride).
           EXPECT_EQ((batch.id - 1) % stride, s);
@@ -200,6 +205,8 @@ TEST(ShardedCluster, BatchIdsAreGloballyUniqueAcrossShards) {
       gateway->on_arrivals(resnet, true, 128, 0.0, 0.01);  // full batch
     }
   }
+  EXPECT_TRUE(ids.empty());  // sealed only once the window closes
+  sim.run_until(0.01);
   const std::set<BatchId> unique(ids.begin(), ids.end());
   EXPECT_EQ(unique.size(), ids.size());
   EXPECT_EQ(ids.size(), 12u);

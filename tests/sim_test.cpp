@@ -200,6 +200,23 @@ TEST(Simulator, EventScheduledAtNowDuringBatchStillFiresInSeqOrder) {
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
+TEST(TickGrid, WalksThePeriodicTaskFireTimesBitForBit) {
+  // The grid accumulates one period at a time, so its ticks drift exactly
+  // like PeriodicTask's fire times (which k·period would not).
+  Simulator sim;
+  sim.run_until(0.3);
+  std::vector<SimTime> fires;
+  PeriodicTask task(sim, 0.005, [&] { fires.push_back(sim.now()); });
+  sim.run_until(60.0);
+  TickGrid grid(0.3, 0.005);
+  ASSERT_GT(fires.size(), 10000u);
+  for (const SimTime fire : fires) {
+    ASSERT_EQ(grid.next(), fire);
+    grid.advance();
+  }
+  EXPECT_EQ(grid.period(), 0.005);
+}
+
 TEST(PeriodicTask, FiresAtFixedPeriod) {
   Simulator sim;
   std::vector<SimTime> fires;

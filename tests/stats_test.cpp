@@ -39,6 +39,29 @@ TEST(Stats, PercentileUnsortedInput) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
 }
 
+TEST(Stats, PercentilesInOnePassMatchPercentileBitForBit) {
+  // Random samples with many duplicates (values drawn from a small set) and
+  // sizes down to 1, where neighbouring percentiles share ranks.
+  const std::vector<double> ps = {0.0,  10.0, 25.0, 50.0, 75.0,
+                                  90.0, 95.0, 99.0, 99.9, 100.0};
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % (trial < 100 ? 12 : 3000);
+    const std::uint64_t distinct = 1 + rng() % 50;
+    std::vector<float> xs(n);
+    for (float& x : xs) x = static_cast<float>(rng() % distinct) * 0.37f;
+    const std::vector<double> got = metrics::percentiles(xs, ps);
+    ASSERT_EQ(got.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const double want = metrics::percentile(xs, ps[i]);
+      EXPECT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+          << "n=" << n << " p=" << ps[i] << ": " << got[i] << " vs " << want;
+    }
+  }
+  EXPECT_TRUE(metrics::percentiles({}, ps) == std::vector<double>(ps.size()));
+  EXPECT_THROW(metrics::percentiles({1.0f}, {50.0, 10.0}), std::logic_error);
+}
+
 TEST(Stats, NormalCdf) {
   EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(normal_cdf(1.96), 0.975, 0.001);

@@ -242,6 +242,37 @@ TEST(WorkloadDriver, StopsAtHorizon) {
   EXPECT_EQ(sink.strict_count + sink.be_count, at_horizon);
 }
 
+TEST(WorkloadDriver, HandsWindowsOverAheadAndCancelsOnDestruction) {
+  // Windows are handed over a chunk ahead, each before it closes; the
+  // driver leaves no event behind once the trace ends or it is destroyed.
+  sim::Simulator sim;
+  struct AheadSink : RequestSink {
+    sim::Simulator* sim = nullptr;
+    SimTime last_end = 0.0;
+    void on_arrivals(const ModelProfile&, bool, int, SimTime window_start,
+                     SimTime window_end) override {
+      EXPECT_LT(window_start, window_end);
+      EXPECT_LT(sim->now(), window_end);
+      EXPECT_GE(window_end, last_end);
+      last_end = window_end;
+    }
+  } sink;
+  sink.sim = &sim;
+  {
+    WorkloadDriver driver(sim, driver_config(), sink);
+    driver.start();
+    sim.run_until(0.5);
+    EXPECT_GT(sink.last_end, 0.9);  // a second's windows are already out
+    EXPECT_EQ(sim.pending(), 1u);   // the next chunk
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  sink.last_end = 0.0;
+  WorkloadDriver driver(sim, driver_config(), sink);
+  driver.start();
+  sim.run_until(31.0);  // past the 30 s horizon
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(WorkloadDriver, BeModelsListCoversScheduleAndPool) {
   sim::Simulator sim;
   CountingSink sink;
